@@ -190,19 +190,24 @@ void Run() {
   if (hw > thread_counts.back()) thread_counts.push_back(hw);
   const std::vector<uint32_t> batch_sizes = {1, 2, 4, 8};
 
-  // Two kernel-backed engines; MMP construction timing is covered by the
-  // paper-figure benches (it bypasses the SSAD kernel).
+  // Two kernel-backed engines plus exact MMP. MMP bypasses the SSAD kernel
+  // (its kernel counters stay 0) and clamps every batch to one source, so it
+  // runs only batch 1 (one sweep per tree node) and the default batch (one
+  // sweep per distinct center), at one thread.
   Table table("SeOracle::Build per-phase seconds",
               {"solver", "threads", "batch", "tree_s", "enhanced_s",
                "pairs_s", "total_s", "ssad_runs", "kernel_settles",
                "speedup"});
-  for (SolverKind kind : {SolverKind::kDijkstra, SolverKind::kSteiner}) {
+  for (SolverKind kind : {SolverKind::kDijkstra, SolverKind::kSteiner,
+                          SolverKind::kMmpExact}) {
     const char* name = SolverKindName(kind);
+    const bool exact = kind == SolverKind::kMmpExact;
 
     // --- Batch dimension: enhanced-edge phase at 1 thread ---
     double enhanced_base = 0.0;
     double serial_total = 0.0;  // threads=1 @ default batch, reused below
     for (uint32_t batch : batch_sizes) {
+      if (exact && batch != 1 && batch != kDefaultBatch) continue;
       const BuildMeasurement m = MeasureBuild(*ds, kind, 1, batch, seed);
       if (batch == 1) enhanced_base = m.stats.enhanced_seconds;
       if (batch == kDefaultBatch) serial_total = m.stats.total_seconds;
@@ -239,7 +244,7 @@ void Run() {
 
     // --- Thread dimension at the default batch (threads=1 covered above) ---
     for (uint32_t threads : thread_counts) {
-      if (threads == 1) continue;
+      if (threads == 1 || exact) continue;
       const BuildMeasurement m =
           MeasureBuild(*ds, kind, threads, kDefaultBatch, seed);
       const double speedup =

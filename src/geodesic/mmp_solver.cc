@@ -18,7 +18,9 @@ MmpSolver::MmpSolver(const TerrainMesh& mesh)
     : mesh_(mesh),
       vdist_(mesh.num_vertices(), kInfDist),
       vertex_processed_(mesh.num_vertices(), 0),
-      edge_windows_(mesh.num_edges()) {
+      edge_windows_(mesh.num_edges()),
+      face_targets_(mesh.num_faces()),
+      vertex_targets_(mesh.num_vertices()) {
   eps_len_ = 1e-9 * mesh.MaxEdgeLength();
 }
 
@@ -48,15 +50,26 @@ void MmpSolver::Reset() {
   std::fill(vertex_processed_.begin(), vertex_processed_.end(), 0);
   frontier_ = 0.0;
   stats_ = RunStats{};
+  for (const SurfacePoint& t : targets_) {
+    if (std::vector<uint32_t>* list = TargetList(t)) list->clear();
+  }
   targets_.clear();
   target_est_.clear();
   target_settled_.clear();
   target_dirty_.clear();
   dirty_stack_.clear();
-  face_targets_.clear();
-  vertex_targets_.clear();
   target_heap_.clear();
   targets_settled_count_ = 0;
+}
+
+std::vector<uint32_t>* MmpSolver::TargetList(const SurfacePoint& t) {
+  // Out-of-range ids are never marked dirty (no vertex or face carries
+  // them), so such targets keep only their initial evaluation.
+  if (t.is_vertex()) {
+    return t.vertex < vertex_targets_.size() ? &vertex_targets_[t.vertex]
+                                             : nullptr;
+  }
+  return t.face < face_targets_.size() ? &face_targets_[t.face] : nullptr;
 }
 
 void MmpSolver::UpdateVertex(uint32_t v, double d) {
@@ -64,24 +77,21 @@ void MmpSolver::UpdateVertex(uint32_t v, double d) {
     vdist_[v] = d;
     heap_.push_back({d, v, 1});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>());
-    auto it = vertex_targets_.find(v);
-    if (it != vertex_targets_.end()) {
-      for (uint32_t t : it->second) {
-        if (!target_dirty_[t]) {
-          target_dirty_[t] = 1;
-          dirty_stack_.push_back(t);
-        }
-      }
-    }
+    if (targets_.empty()) return;
+    MarkTargetsDirty(vertex_targets_[v]);
     // Vertex labels feed face-interior estimates too.
     for (uint32_t f : mesh_.vertex_faces(v)) MarkFaceTargetsDirty(f);
   }
 }
 
 void MmpSolver::MarkFaceTargetsDirty(uint32_t face) {
-  auto it = face_targets_.find(face);
-  if (it == face_targets_.end()) return;
-  for (uint32_t t : it->second) {
+  if (targets_.empty()) return;
+  MarkTargetsDirty(face_targets_[face]);
+}
+
+void MmpSolver::MarkTargetsDirty(const std::vector<uint32_t>& list) {
+  for (uint32_t t : list) {
+    TSO_DCHECK(t < targets_.size());  // Reset() cleared earlier runs' lists
     if (!target_dirty_[t]) {
       target_dirty_[t] = 1;
       dirty_stack_.push_back(t);
@@ -109,17 +119,17 @@ void MmpSolver::InsertWindow(Window w) {
   // Fragments of the new window that remain after losing to existing
   // windows. Existing windows are pairwise disjoint, so each existing window
   // carves independently.
-  std::vector<std::pair<double, double>> w_frags{{w.b0, w.b1}};
-  std::vector<uint32_t> rebuilt;
-  std::vector<Window> o_fragments;
-  rebuilt.reserve(list.size() + 2);
+  w_frags_.assign(1, {w.b0, w.b1});
+  rebuilt_.clear();
+  o_fragments_.clear();
+  rebuilt_.reserve(list.size() + 2);
 
   for (uint32_t oid : list) {
     Window& o = pool_[oid];
     const double lo = std::max(o.b0, w.b0);
     const double hi = std::min(o.b1, w.b1);
     if (hi - lo <= eps_len_) {
-      rebuilt.push_back(oid);
+      rebuilt_.push_back(oid);
       continue;
     }
     // Breakpoints of the winner function on [lo, hi].
@@ -136,8 +146,8 @@ void MmpSolver::InsertWindow(Window w) {
 
     // Sub-intervals of [o.b0, o.b1] that o keeps (everything outside the
     // overlap plus overlap pieces where o wins or ties).
-    std::vector<std::pair<double, double>> o_keep;
-    if (o.b0 < lo - eps_len_) o_keep.emplace_back(o.b0, lo);
+    o_keep_.clear();
+    if (o.b0 < lo - eps_len_) o_keep_.emplace_back(o.b0, lo);
     bool o_lost_any = false;
     for (int i = 0; i + 1 < npts; ++i) {
       const double mid = 0.5 * (pts[i] + pts[i + 1]);
@@ -149,39 +159,40 @@ void MmpSolver::InsertWindow(Window w) {
         // Carve the piece out of nothing for o (skip).
       } else {
         // o wins or ties: o keeps, w loses this piece.
-        o_keep.emplace_back(pts[i], pts[i + 1]);
-        // Subtract [pts[i], pts[i+1]] from w_frags.
-        std::vector<std::pair<double, double>> next;
-        for (const auto& [a, b] : w_frags) {
+        o_keep_.emplace_back(pts[i], pts[i + 1]);
+        // Subtract [pts[i], pts[i+1]] from w_frags_.
+        w_frags_next_.clear();
+        for (const auto& [a, b] : w_frags_) {
           const double cl = std::max(a, pts[i]);
           const double ch = std::min(b, pts[i + 1]);
           if (ch - cl <= eps_len_) {
-            next.emplace_back(a, b);
+            w_frags_next_.emplace_back(a, b);
             continue;
           }
-          if (cl - a > eps_len_) next.emplace_back(a, cl);
-          if (b - ch > eps_len_) next.emplace_back(ch, b);
+          if (cl - a > eps_len_) w_frags_next_.emplace_back(a, cl);
+          if (b - ch > eps_len_) w_frags_next_.emplace_back(ch, b);
         }
-        w_frags = std::move(next);
+        w_frags_.swap(w_frags_next_);
       }
     }
-    if (o.b1 > hi + eps_len_) o_keep.emplace_back(hi, o.b1);
+    if (o.b1 > hi + eps_len_) o_keep_.emplace_back(hi, o.b1);
 
     if (!o_lost_any) {
-      rebuilt.push_back(oid);
+      rebuilt_.push_back(oid);
       continue;
     }
     // o shrinks: merge adjacent keep-intervals, materialize fragments.
     o.alive = false;
-    std::vector<std::pair<double, double>> merged;
-    for (const auto& iv : o_keep) {
-      if (!merged.empty() && iv.first - merged.back().second <= eps_len_) {
-        merged.back().second = iv.second;
+    o_merged_.clear();
+    for (const auto& iv : o_keep_) {
+      if (!o_merged_.empty() &&
+          iv.first - o_merged_.back().second <= eps_len_) {
+        o_merged_.back().second = iv.second;
       } else {
-        merged.push_back(iv);
+        o_merged_.push_back(iv);
       }
     }
-    for (const auto& [a, b] : merged) {
+    for (const auto& [a, b] : o_merged_) {
       if (b - a <= eps_len_) continue;
       Window frag = o;
       frag.alive = true;
@@ -192,15 +203,15 @@ void MmpSolver::InsertWindow(Window w) {
       // Source position is inherited (same pseudo-source).
       frag.sx = o.sx;
       frag.sy = o.sy;
-      o_fragments.push_back(frag);
+      o_fragments_.push_back(frag);
     }
   }
 
   // Materialize o fragments.
-  for (Window& frag : o_fragments) {
+  for (Window& frag : o_fragments_) {
     const uint32_t id = static_cast<uint32_t>(pool_.size());
     pool_.push_back(frag);
-    rebuilt.push_back(id);
+    rebuilt_.push_back(id);
     if (!frag.propagated) {
       heap_.push_back({MinKey(frag), id, 0});
       std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>());
@@ -208,7 +219,7 @@ void MmpSolver::InsertWindow(Window w) {
   }
   // Materialize surviving fragments of w.
   bool any_new = false;
-  for (const auto& [a, b] : w_frags) {
+  for (const auto& [a, b] : w_frags_) {
     if (b - a <= eps_len_) continue;
     Window frag = w;
     frag.b0 = a;
@@ -218,17 +229,18 @@ void MmpSolver::InsertWindow(Window w) {
     frag.propagated = false;
     const uint32_t id = static_cast<uint32_t>(pool_.size());
     pool_.push_back(frag);
-    rebuilt.push_back(id);
+    rebuilt_.push_back(id);
     heap_.push_back({MinKey(frag), id, 0});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>());
     ++stats_.windows_created;
     any_new = true;
   }
 
-  std::sort(rebuilt.begin(), rebuilt.end(), [&](uint32_t a, uint32_t b) {
+  std::sort(rebuilt_.begin(), rebuilt_.end(), [&](uint32_t a, uint32_t b) {
     return pool_[a].b0 < pool_[b].b0;
   });
-  list = std::move(rebuilt);
+  // The edge's old list becomes next call's scratch.
+  list.swap(rebuilt_);
 
   if (any_new) {
     // New coverage on this edge can improve estimates in both adjacent faces.
@@ -479,10 +491,8 @@ Status MmpSolver::Run(const SurfacePoint& source, const SsadOptions& opts) {
   target_dirty_.assign(targets_.size(), 1);
   for (uint32_t t = 0; t < targets_.size(); ++t) {
     dirty_stack_.push_back(t);
-    if (targets_[t].is_vertex()) {
-      vertex_targets_[targets_[t].vertex].push_back(t);
-    } else {
-      face_targets_[targets_[t].face].push_back(t);
+    if (std::vector<uint32_t>* list = TargetList(targets_[t])) {
+      list->push_back(t);
     }
   }
 

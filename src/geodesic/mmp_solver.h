@@ -2,7 +2,7 @@
 #define TSO_GEODESIC_MMP_SOLVER_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geodesic/solver.h"
@@ -78,6 +78,8 @@ class MmpSolver : public GeodesicSolver {
   void SpawnPseudoSource(uint32_t v);
   void UpdateVertex(uint32_t v, double d);
   void MarkFaceTargetsDirty(uint32_t face);
+  void MarkTargetsDirty(const std::vector<uint32_t>& list);
+  std::vector<uint32_t>* TargetList(const SurfacePoint& t);
   double EvaluatePoint(const SurfacePoint& p) const;
 
   const TerrainMesh& mesh_;
@@ -94,14 +96,27 @@ class MmpSolver : public GeodesicSolver {
   RunStats stats_;
   size_t max_windows_ = 50'000'000;
 
+  // InsertWindow scratch, reused across calls so the kernel never allocates
+  // once capacities have grown: the surviving pieces of the new window, the
+  // pieces an existing window keeps, and the edge's next window list.
+  using Interval = std::pair<double, double>;
+  std::vector<Interval> w_frags_;
+  std::vector<Interval> w_frags_next_;
+  std::vector<Interval> o_keep_;
+  std::vector<Interval> o_merged_;
+  std::vector<Window> o_fragments_;
+  std::vector<uint32_t> rebuilt_;
+
   // Target bookkeeping for cover/stop termination.
   std::vector<SurfacePoint> targets_;
   std::vector<double> target_est_;
   std::vector<uint8_t> target_settled_;
   std::vector<uint32_t> dirty_stack_;
   std::vector<uint8_t> target_dirty_;
-  std::unordered_map<uint32_t, std::vector<uint32_t>> face_targets_;
-  std::unordered_map<uint32_t, std::vector<uint32_t>> vertex_targets_;
+  // Target indices per face / vertex, sized once; Reset() clears only the
+  // entries the last run's targets filled.
+  std::vector<std::vector<uint32_t>> face_targets_;
+  std::vector<std::vector<uint32_t>> vertex_targets_;
   std::vector<Event> target_heap_;  // (est, target idx) min-heap, lazy
   size_t targets_settled_count_ = 0;
 };

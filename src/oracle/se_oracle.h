@@ -44,13 +44,16 @@ struct SeOracleOptions {
   SolverFactory parallel_solver_factory;
   /// Worker threads for the parallel phases; 0 = hardware concurrency.
   uint32_t num_threads = 0;
-  /// Sources per SSAD sweep in the enhanced-edge phase: same-layer tree
-  /// nodes are grouped into spatially-clustered batches of this size and
-  /// dispatched to GeodesicSolver::SolveBatch, which amortizes the graph
-  /// traversal across nearby sources. Clamped to the solver's max_batch()
-  /// (1 for solvers without native multi-source support, e.g. MMP); 0 and 1
-  /// both mean one source per sweep. The built oracle is bit-identical for
-  /// any batch size.
+  /// Sources per SSAD sweep in the enhanced-edge phase. Any value >= 2
+  /// sweeps each distinct partition-tree center once, at its topmost reach,
+  /// and harvests that sweep for every layer it centers (for every solver);
+  /// the centers are grouped into spatially-clustered batches of this size
+  /// and dispatched to GeodesicSolver::SolveBatch, which amortizes the graph
+  /// traversal across nearby sources. The batch is clamped to the solver's
+  /// max_batch() (1 for solvers without native multi-source support, e.g.
+  /// MMP, which then sweeps singleton batches but keeps the dedup). Only an
+  /// explicit 0 or 1 selects the reference pipeline with one sweep per tree
+  /// node. The built oracle is bit-identical for any batch size.
   uint32_t ssad_batch = 4;
 };
 
@@ -59,6 +62,8 @@ struct SeBuildStats {
   double tree_seconds = 0.0;
   double enhanced_seconds = 0.0;   // Step 2 (+3): enhanced edges + hashing
   double pair_gen_seconds = 0.0;   // Step 4
+  /// SSADs of every phase, counted per source: one per distinct center in a
+  /// deduplicated enhanced phase.
   size_t ssad_runs = 0;
   size_t enhanced_edges = 0;
   size_t node_pairs = 0;
@@ -69,7 +74,9 @@ struct SeBuildStats {
   size_t tree_speculative_ssads = 0;  // partition-tree SSADs run by workers
   size_t tree_wasted_ssads = 0;       // speculative SSADs never committed
   uint32_t ssad_batch_used = 1;    // enhanced-edge sources per sweep (clamped)
-  size_t enhanced_sweeps = 0;      // multi-source sweeps in the enhanced phase
+  /// Sweeps in the enhanced phase: one per tree node at ssad_batch <= 1,
+  /// else one per batch of distinct centers.
+  size_t enhanced_sweeps = 0;
 };
 
 /// The Space-Efficient distance oracle (SE) — the paper's contribution.

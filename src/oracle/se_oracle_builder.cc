@@ -158,6 +158,10 @@ StatusOr<EnhancedEdges> BuildEnhancedEdges(
       std::max(1u, std::min(std::max(options.ssad_batch, 1u),
                             solver.max_batch()));
   st->ssad_batch_used = batch_limit;
+  // Only an explicit request for one source per sweep selects the per-node
+  // reference pipeline. A larger request that the solver clamps to 1 (MMP)
+  // still takes the deduplicated pipeline, with singleton batches.
+  const bool per_node = options.ssad_batch <= 1;
   const int height = tree.height();
 
   // Candidate lookup per layer. Layers with < 2 nodes have no same-layer
@@ -176,7 +180,7 @@ StatusOr<EnhancedEdges> BuildEnhancedEdges(
       layer.center_points.push_back(pois[tree.node(id).center]);
     }
     layer.grid = std::make_unique<XyGrid>(layer.center_points, layer.reach);
-    if (batch_limit > 1) {
+    if (!per_node) {
       // Only the batched pipeline's cross-layer harvest looks centers up.
       layer.center_to_index.reserve(nodes.size());
       for (uint32_t i = 0; i < nodes.size(); ++i) {
@@ -187,10 +191,11 @@ StatusOr<EnhancedEdges> BuildEnhancedEdges(
 
   std::vector<std::pair<uint64_t, uint64_t>> entries;
 
-  if (batch_limit == 1) {
-    // Reference pipeline (no multi-source batching): one SSAD per tree node,
-    // layer by layer. Kept as the plain baseline the batched pipeline must
-    // match bit-for-bit; still sharded over workers when threads are given.
+  if (per_node) {
+    // Reference pipeline (no cross-layer dedup, no multi-source batching):
+    // one SSAD per tree node, layer by layer. Kept as the plain baseline the
+    // batched pipeline must match bit-for-bit; still sharded over workers
+    // when threads are given.
     for (int m = 0; m <= height; ++m) {
       if (layers[m].grid == nullptr) continue;
       const EnhancedLayer& layer = layers[m];
@@ -218,10 +223,15 @@ StatusOr<EnhancedEdges> BuildEnhancedEdges(
     //    (pc-priority selection + the Separation property), so instead of
     //    one SSAD per tree node, each *distinct* center sweeps once at its
     //    topmost (largest) reach and the labels are harvested for every
-    //    layer it centers (a bounded Dijkstra's labels within the bound do
-    //    not depend on the bound);
+    //    layer it centers. A bounded sweep's labels within the bound do not
+    //    depend on the bound: once a Dijkstra or MMP sweep passes radius R,
+    //    every new label or window carries values above R, so it can neither
+    //    beat nor trim a value <= R;
     //  * multi-source group sweeps — sweeps that start at the same topmost
-    //    layer share one kernel sweep per spatially-clustered batch.
+    //    layer share one kernel sweep per spatially-clustered batch. When
+    //    the solver clamps the batch to 1 (MMP) the batches are singletons:
+    //    SolveBatch of one source is Run, BatchPointDistance(0, ·) is
+    //    PointDistance.
     struct SweepGroup {
       int top_layer;                        // sweep radius = reach here
       std::vector<uint32_t> first_indices;  // into that layer's nodes

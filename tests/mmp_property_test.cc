@@ -2,6 +2,8 @@
 // seeds and relief amplitudes.
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,7 +12,9 @@
 #include "geodesic/mmp_solver.h"
 #include "geodesic/steiner_graph.h"
 #include "geodesic/steiner_solver.h"
+#include "mesh/point_locator.h"
 #include "mesh/refine.h"
+#include "terrain/poi_generator.h"
 #include "terrain/terrain_synth.h"
 
 namespace tso {
@@ -144,6 +148,72 @@ TEST(MmpState, RunStatsPopulated) {
   EXPECT_LE(solver.stats().vertices_processed, mesh.num_vertices());
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The enhanced-edge phase sweeps each partition-tree center once, at its
+// largest reach, and reads every smaller layer's labels off that one sweep.
+// That is exact only if a label within radius R is bit-for-bit the value a
+// run bounded at R computes: once a run passes R, every new window and
+// vertex relaxation carries values above R, so none of them can trim, beat
+// or re-route a label <= R.
+TEST(MmpState, BoundedLabelsIndependentOfBound) {
+  TerrainMesh mesh = Synth(16, 300.0, 400);
+  const PointLocator locator(mesh);
+  Rng rng(16);
+  const std::vector<SurfacePoint> pois =
+      GenerateUniformPois(mesh, locator, 80, rng);
+  ASSERT_GT(pois.size(), 40u);
+  MmpSolver unbounded(mesh);
+  MmpSolver r1_run(mesh);
+  MmpSolver r2_run(mesh);
+  for (int trial = 0; trial < 6; ++trial) {
+    // Alternate face-interior and vertex sources.
+    const uint32_t v = static_cast<uint32_t>(rng.Uniform(mesh.num_vertices()));
+    SurfacePoint source = pois[rng.Uniform(pois.size())];
+    if (trial % 2 == 1) source = SurfacePoint::AtVertex(mesh, v);
+    ASSERT_TRUE(unbounded.Run(source, {}).ok());
+    double max_dist = 0.0;
+    for (uint32_t v = 0; v < mesh.num_vertices(); ++v) {
+      max_dist = std::max(max_dist, unbounded.VertexDistance(v));
+    }
+    const double r1 = max_dist * (0.2 + 0.1 * trial);
+    SsadOptions o1;
+    o1.radius_bound = r1;
+    SsadOptions o2;
+    o2.radius_bound = r1 * 1.6;
+    ASSERT_TRUE(r1_run.Run(source, o1).ok());
+    ASSERT_TRUE(r2_run.Run(source, o2).ok());
+
+    size_t compared = 0;
+    auto check = [&](double a, double b, double c, const char* what,
+                     uint32_t id) {
+      // The same set of labels lies within r1 in every run ...
+      EXPECT_EQ(a <= r1, b <= r1) << what << " " << id << " trial " << trial;
+      EXPECT_EQ(a <= r1, c <= r1) << what << " " << id << " trial " << trial;
+      if (a > r1) return;
+      // ... and each of them is bit-identical.
+      ++compared;
+      EXPECT_TRUE(SameBits(a, b))
+          << what << " " << id << " trial " << trial << ": " << a << " vs "
+          << b;
+      EXPECT_TRUE(SameBits(a, c))
+          << what << " " << id << " trial " << trial << ": " << a << " vs "
+          << c;
+    };
+    for (uint32_t i = 0; i < pois.size(); ++i) {
+      check(r1_run.PointDistance(pois[i]), r2_run.PointDistance(pois[i]),
+            unbounded.PointDistance(pois[i]), "poi", i);
+    }
+    for (uint32_t v = 0; v < mesh.num_vertices(); ++v) {
+      check(r1_run.VertexDistance(v), r2_run.VertexDistance(v),
+            unbounded.VertexDistance(v), "vertex", v);
+    }
+    EXPECT_GT(compared, 10u) << "trial " << trial;
+  }
+}
+
 // Consecutive runs from different sources must not leak state.
 TEST(MmpState, RunsAreIndependent) {
   TerrainMesh mesh = Synth(15, 250.0, 300);
@@ -161,6 +231,56 @@ TEST(MmpState, RunsAreIndependent) {
     EXPECT_NEAR(reused.VertexDistance(v), fresh_b.VertexDistance(v),
                 1e-9 * (1.0 + fresh_b.VertexDistance(v)));
   }
+
+  // Interleave cover-target runs, target-free runs and a run aborted by the
+  // window budget: the reused window scratch and per-face / per-vertex target
+  // lists must carry nothing from one run into the next, so every run matches
+  // a fresh solver bit for bit.
+  const PointLocator locator(mesh);
+  Rng rng(15);
+  std::vector<SurfacePoint> targets =
+      GenerateUniformPois(mesh, locator, 12, rng);
+  targets.push_back(SurfacePoint::AtVertex(mesh, 5));
+  SsadOptions cover;
+  cover.cover_targets = &targets;
+  const std::vector<SurfacePoint> few(targets.begin(), targets.begin() + 3);
+  SsadOptions cover_few;
+  cover_few.cover_targets = &few;
+
+  auto expect_targets_match = [&](const MmpSolver& got,
+                                  const std::vector<SurfacePoint>& pts,
+                                  const SurfacePoint& source,
+                                  const SsadOptions& opts, const char* what) {
+    MmpSolver fresh(mesh);
+    ASSERT_TRUE(fresh.Run(source, opts).ok());
+    for (size_t i = 0; i < pts.size(); ++i) {
+      EXPECT_TRUE(SameBits(got.PointDistance(pts[i]),
+                           fresh.PointDistance(pts[i])))
+          << what << " target " << i;
+    }
+    EXPECT_TRUE(SameBits(got.frontier(), fresh.frontier())) << what;
+  };
+  auto expect_vertices_match = [&](const MmpSolver& got,
+                                   const MmpSolver& fresh, const char* what) {
+    for (uint32_t v = 0; v < mesh.num_vertices(); ++v) {
+      EXPECT_TRUE(SameBits(got.VertexDistance(v), fresh.VertexDistance(v)))
+          << what << " vertex " << v;
+    }
+  };
+
+  ASSERT_TRUE(reused.Run(s0, cover).ok());
+  expect_targets_match(reused, targets, s0, cover, "cover s0");
+  ASSERT_TRUE(reused.Run(s1, {}).ok());
+  expect_vertices_match(reused, fresh_b, "target-free s1");
+  ASSERT_TRUE(reused.Run(s1, cover_few).ok());
+  expect_targets_match(reused, few, s1, cover_few, "few targets s1");
+  reused.set_max_windows(16);
+  EXPECT_EQ(reused.Run(s1, cover).code(), StatusCode::kInternal);
+  reused.set_max_windows(50'000'000);
+  ASSERT_TRUE(reused.Run(s0, {}).ok());
+  expect_vertices_match(reused, fresh_a, "target-free s0 after failure");
+  ASSERT_TRUE(reused.Run(s1, cover).ok());
+  expect_targets_match(reused, targets, s1, cover, "cover s1 after failure");
 }
 
 }  // namespace

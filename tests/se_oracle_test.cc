@@ -1,6 +1,7 @@
 #include "oracle/se_oracle.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -347,11 +348,59 @@ TEST(SeOracle, SsadBatchClampedForSolversWithoutNativeBatching) {
   SeOracleOptions options;
   options.epsilon = 0.25;
   options.ssad_batch = 8;  // MMP has no native batching: clamps to 1
-  SeBuildStats stats;
+  SeOracleOptions per_node = options;
+  per_node.ssad_batch = 1;
+  SeBuildStats stats, per_node_stats;
   SeOracle oracle = fx.BuildOracle(options, &stats);
+  SeOracle reference = fx.BuildOracle(per_node, &per_node_stats);
   EXPECT_EQ(stats.ssad_batch_used, 1u);
+  // Clamped to singleton batches, the build still sweeps each distinct
+  // center once instead of once per tree node.
   EXPECT_GT(stats.enhanced_sweeps, 0u);
+  EXPECT_LE(stats.enhanced_sweeps, fx.ds->pois.size());
+  EXPECT_LT(stats.enhanced_sweeps, per_node_stats.enhanced_sweeps);
+  EXPECT_EQ(SerializeSeOracleFlat(oracle), SerializeSeOracleFlat(reference));
   EXPECT_EQ(*oracle.Distance(0, 0), 0.0);
+}
+
+// Exact (MMP) builds take the deduplicated enhanced-edge pipeline whenever
+// the caller asks for batching, even though MMP clamps every batch to one
+// source. The result must be byte-identical to the per-node reference
+// pipeline, serially and on workers.
+TEST(SeOracle, MmpClampedBatchMatchesPerNodeReference) {
+  OracleFixture fx(30, 103, 500);
+  const TerrainMesh& mesh = *fx.ds->mesh;
+  SeOracleOptions reference_options;
+  reference_options.epsilon = 0.25;
+  reference_options.seed = 29;
+  reference_options.ssad_batch = 1;  // per-node reference pipeline
+  SeOracleOptions dedup_options = reference_options;
+  dedup_options.ssad_batch = 4;  // clamped to 1: dedup, singleton batches
+  SeOracleOptions parallel_options = dedup_options;
+  parallel_options.parallel_solver_factory = [&mesh]() {
+    return std::unique_ptr<GeodesicSolver>(new MmpSolver(mesh));
+  };
+  parallel_options.num_threads = 2;
+
+  SeBuildStats reference_stats, dedup_stats, parallel_stats;
+  SeOracle reference = fx.BuildOracle(reference_options, &reference_stats);
+  SeOracle dedup = fx.BuildOracle(dedup_options, &dedup_stats);
+  SeOracle parallel = fx.BuildOracle(parallel_options, &parallel_stats);
+
+  const std::string reference_flat = SerializeSeOracleFlat(reference);
+  EXPECT_EQ(SerializeSeOracleFlat(dedup), reference_flat);
+  EXPECT_EQ(SerializeSeOracleFlat(parallel), reference_flat);
+  for (const SeBuildStats* st : {&dedup_stats, &parallel_stats}) {
+    EXPECT_EQ(st->ssad_batch_used, 1u);
+    EXPECT_EQ(st->enhanced_edges, reference_stats.enhanced_edges);
+    EXPECT_EQ(st->node_pairs, reference_stats.node_pairs);
+    EXPECT_EQ(st->distance_fallbacks, 0u);
+    EXPECT_GT(st->enhanced_sweeps, 0u);
+    EXPECT_LE(st->enhanced_sweeps, fx.ds->pois.size());
+    EXPECT_LT(st->enhanced_sweeps, reference_stats.enhanced_sweeps);
+  }
+  EXPECT_EQ(parallel_stats.threads_used, 2u);
+  EXPECT_EQ(reference_stats.distance_fallbacks, 0u);
 }
 
 TEST(SeOracleSerde, RoundTripAnswersIdentical) {

@@ -188,8 +188,9 @@ build-oracle options:
                                 (0 = hardware concurrency; --threads is an
                                 accepted alias)
   --ssad-batch K                enhanced-edge sources per SSAD sweep
-                                (default 4; 1 disables multi-source batching;
-                                clamped to the solver's native limit)
+                                (default 4; clamped to the solver's native
+                                limit; 1 selects the one-sweep-per-tree-node
+                                reference pipeline)
   --seed S                      RNG seed (default 42)
   --out PATH                    output file (default oracle.bin)
   --format flat|legacy          on-disk format (default flat: sectioned,
