@@ -90,11 +90,12 @@ BuildMeasurement MeasureBuild(const Dataset& ds, SolverKind kind,
   return m;
 }
 
-/// Load-path benchmark: legacy full deserialization vs zero-copy mmap open
-/// of the flat format (with and without the checksum pass). Emits one BENCH
-/// line per variant plus the headline mmap-vs-deserialize speedup — the
-/// serving-startup metric the frozen format exists for. Best-of-K wall
-/// clock; a Distance probe per iteration keeps the loads honest.
+/// Load-path benchmark on one flat file: LoadSeOracle (read + materialize an
+/// owning SeOracle) vs zero-copy mmap open (with and without the checksum
+/// pass). Emits one BENCH line per variant plus the headline
+/// mmap-vs-materialize speedup — the serving-startup metric the frozen
+/// format exists for. Best-of-K wall clock; a Distance probe per iteration
+/// keeps the loads honest.
 void MeasureLoad(const Dataset& ds, uint64_t seed) {
   StatusOr<std::unique_ptr<GeodesicSolver>> solver =
       MakeSolver(SolverKind::kDijkstra, *ds.mesh);
@@ -107,9 +108,7 @@ void MeasureLoad(const Dataset& ds, uint64_t seed) {
   TSO_CHECK(oracle.ok());
 
   const std::string dir = std::filesystem::temp_directory_path().string();
-  const std::string legacy_path = dir + "/bench_load_oracle.seor";
   const std::string flat_path = dir + "/bench_load_oracle.tsoflat";
-  TSO_CHECK(SaveSeOracle(*oracle, legacy_path).ok());
   TSO_CHECK(SaveSeOracleFlat(*oracle, flat_path).ok());
 
   constexpr int kIters = 25;
@@ -124,8 +123,8 @@ void MeasureLoad(const Dataset& ds, uint64_t seed) {
     return best;
   };
 
-  const double legacy_seconds = best_of([&]() {
-    StatusOr<SeOracle> loaded = LoadSeOracle(legacy_path);
+  const double materialize_seconds = best_of([&]() {
+    StatusOr<SeOracle> loaded = LoadSeOracle(flat_path);
     TSO_CHECK(loaded.ok());
     return *loaded->Distance(0, 1);
   });
@@ -142,16 +141,14 @@ void MeasureLoad(const Dataset& ds, uint64_t seed) {
     return *view->Distance(0, 1);
   });
 
-  const uintmax_t legacy_bytes = std::filesystem::file_size(legacy_path);
   const uintmax_t flat_bytes = std::filesystem::file_size(flat_path);
-  std::filesystem::remove(legacy_path);
   std::filesystem::remove(flat_path);
 
   BenchJson("build")
       .Str("phase", "load")
-      .Str("format", "legacy")
-      .Num("load_seconds", legacy_seconds, 6)
-      .Int("bytes", legacy_bytes)
+      .Str("format", "materialize")
+      .Num("load_seconds", materialize_seconds, 6)
+      .Int("bytes", flat_bytes)
       .Emit();
   BenchJson("build")
       .Str("phase", "load")
@@ -160,13 +157,13 @@ void MeasureLoad(const Dataset& ds, uint64_t seed) {
       .Num("load_seconds_verify", flat_verify_seconds, 6)
       .Int("bytes", flat_bytes)
       .Num("mmap_speedup_vs_deserialize",
-           flat_seconds > 0 ? legacy_seconds / flat_seconds : 0.0, 3)
+           flat_seconds > 0 ? materialize_seconds / flat_seconds : 0.0, 3)
       .Emit();
-  std::cout << "load: legacy deserialize " << legacy_seconds * 1e3
+  std::cout << "load: materialize " << materialize_seconds * 1e3
             << " ms | mmap open " << flat_seconds * 1e3 << " ms ("
             << flat_verify_seconds * 1e3 << " ms with checksums) | "
-            << "speedup " << legacy_seconds / flat_seconds << "x (checksum "
-            << checksum << ")\n";
+            << "speedup " << materialize_seconds / flat_seconds
+            << "x (checksum " << checksum << ")\n";
 }
 
 void Run() {

@@ -13,7 +13,7 @@ namespace tso {
 /// the rename itself is durable. A crash (or kill -9) at any point leaves
 /// either the complete previous file or the complete new file at `path` —
 /// never a torn or partially-visible artifact. Every oracle emit path
-/// (TSOFLAT, TSOPACK, legacy serde, mesh writers) publishes through here.
+/// (TSOFLAT, TSOPACK, mesh writers) publishes through here.
 ///
 /// On error the temp file is removed and `path` is untouched, with one
 /// documented exception: a failure of the final directory fsync returns the

@@ -6,7 +6,8 @@
 
 #ifdef _WIN32
 // The serving stack targets POSIX; on Windows the mmap path degrades to an
-// Unimplemented error and callers fall back to the legacy loader.
+// Unimplemented error and callers fall back to materializing the file
+// in memory (LoadSeOracle).
 #else
 #include <fcntl.h>
 #include <sys/mman.h>

@@ -102,13 +102,14 @@ class CompressedTreeView {
   int height_ = 0;
 };
 
-/// Load-time validation shared by both oracle loaders (legacy deserializer
-/// and OracleView): every node's child list must contain exactly
-/// num_children nodes, each naming that node as its parent, then terminate.
-/// Combined with bounds-checked links this rules out sibling/child cycles,
-/// so tree traversals (e.g. KnnQueryPruned's best-first search) terminate
-/// on any loaded oracle, however corrupt the input bytes were. Requires all
-/// first_child/next_sibling/parent links already bounds-checked. O(n).
+/// Load-time validation run by OracleView, and so by every loader built on
+/// it (MaterializeSeOracle, PackView): every node's child list must contain
+/// exactly num_children nodes, each naming that node as its parent, then
+/// terminate. Combined with bounds-checked links this rules out
+/// sibling/child cycles, so tree traversals (e.g. KnnQueryPruned's
+/// best-first search) terminate on any loaded oracle, however corrupt the
+/// input bytes were. Requires all first_child/next_sibling/parent links
+/// already bounds-checked. O(n).
 Status ValidateTreeChildLists(std::span<const CompressedTreeNode> nodes);
 
 /// The compressed partition tree (§3.2): single-child chains of the

@@ -10,25 +10,11 @@
 namespace tso {
 
 // ---------------------------------------------------------------------------
-// Legacy stream format ("SEOR"): varint-framed field-by-field encoding,
-// fully deserialized into an owning SeOracle on load.
-// ---------------------------------------------------------------------------
-
-/// Serializes an SE oracle to a compact binary blob. The blob contains
-/// everything needed to answer queries (compressed tree, node pair set,
-/// perfect hash, POI coordinates) — no mesh or solver required on load.
-std::string SerializeSeOracle(const SeOracle& oracle);
-
-/// Reconstructs an oracle from SerializeSeOracle output. Fails cleanly on
-/// truncated or corrupt input. The blob is only read, never copied — the
-/// view must stay valid for the duration of the call.
-StatusOr<SeOracle> DeserializeSeOracle(std::string_view blob);
-
-// ---------------------------------------------------------------------------
-// Flat format ("TSOFLAT"): sectioned, checksummed, mmap-able layout
-// (oracle/flat_format.h, docs/oracle-format.md). Serve it zero-copy through
-// OracleView, or materialize an owning SeOracle when mutation-adjacent APIs
-// (e.g. the dynamic oracle's base) need one.
+// Flat format ("TSOFLAT"), the only on-disk oracle format: sectioned,
+// checksummed, mmap-able layout (oracle/flat_format.h,
+// docs/oracle-format.md). Serve it zero-copy through OracleView, or
+// materialize an owning SeOracle when mutation-adjacent APIs (e.g. the
+// dynamic oracle's base) need one.
 // ---------------------------------------------------------------------------
 
 /// Serializes an SE oracle into the flat format. Deterministic: the same
@@ -53,11 +39,11 @@ StatusOr<SeOracle> MaterializeSeOracle(std::string_view flat_blob);
 // File round-trips.
 // ---------------------------------------------------------------------------
 
-Status SaveSeOracle(const SeOracle& oracle, const std::string& path);
 Status SaveSeOracleFlat(const SeOracle& oracle, const std::string& path);
 
-/// Loads either format into an owning SeOracle: flat files (detected by
-/// magic) are materialized, legacy streams deserialized.
+/// Reads a flat file and materializes it into an owning SeOracle. Any other
+/// file is an InvalidArgument naming the path (with a rebuild hint for the
+/// retired "SEOR" stream format).
 StatusOr<SeOracle> LoadSeOracle(const std::string& path);
 
 }  // namespace tso

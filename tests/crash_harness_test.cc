@@ -176,27 +176,6 @@ TEST(CrashHarness, OraclePackSurvivesCrashAtEveryStage) {
       });
 }
 
-// The legacy stream format publishes through the same atomic writer; one
-// representative stage proves the seam is wired.
-TEST(CrashHarness, LegacyOracleSurvivesCrashMidWrite) {
-  CrashFixture& fx = Fixture();
-  const std::string path = ::testing::TempDir() + "/crash_legacy.seor";
-  const std::string old_bytes = SerializeSeOracle(*fx.oracle_a);
-  ASSERT_TRUE(WriteFileAtomic(path, old_bytes).ok());
-
-  CrashChildAt("legacy.write",
-               [&]() { return SaveSeOracle(*fx.oracle_b, path); });
-  EXPECT_EQ(ReadAll(path), old_bytes);
-  EXPECT_TRUE(LoadSeOracle(path).ok());
-
-  CrashChildAt("atomicfile.fsync",
-               [&]() { return SaveSeOracle(*fx.oracle_b, path); });
-  EXPECT_EQ(ReadAll(path), old_bytes);
-  EXPECT_TRUE(LoadSeOracle(path).ok());
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
 }  // namespace
 }  // namespace tso
 

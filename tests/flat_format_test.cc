@@ -6,6 +6,7 @@
 // and flip bytes inside every section; the ASan/UBSan CI job runs this
 // suite instrumented.
 
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -13,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "base/crc32.h"
+#include "base/rng.h"
 #include "geodesic/dijkstra_solver.h"
 #include "oracle/flat_format.h"
 #include "oracle/oracle_serde.h"
@@ -163,7 +166,7 @@ TEST(FlatFormat, MaterializeRoundTripsByteIdentically) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(SerializeSeOracleFlat(*back), fx.blob);
   EXPECT_EQ(*back->Distance(2, 7), *fx.oracle->Distance(2, 7));
-  // The legacy loader auto-detects flat files.
+  // The file loader materializes flat files.
   const std::string path = testing::TempDir() + "/oracle_auto.tso";
   ASSERT_TRUE(SaveSeOracleFlat(*fx.oracle, path).ok());
   StatusOr<SeOracle> loaded = LoadSeOracle(path);
@@ -271,12 +274,28 @@ TEST(FlatFormat, SiblingCycleRejectedWithoutChecksums) {
   OracleView::Options no_verify;
   no_verify.verify_checksums = false;
   EXPECT_FALSE(OracleView::FromBuffer(corrupt, no_verify).ok());
-  // The legacy deserializer runs the same ValidateTreeChildLists; sanity-
-  // check that the uncorrupted blob still passes both loaders.
+  // MaterializeSeOracle always verifies checksums; re-seal the patched
+  // section's CRC (and the table CRC over it) so the owning loader has to
+  // reject the cycle itself, not the checksum mismatch.
+  const size_t index = static_cast<size_t>(nodes_entry - &info->sections[0]);
+  FlatSectionEntry sealed = *nodes_entry;
+  sealed.crc32 = Crc32(corrupt.data() + sealed.offset, sealed.size);
+  const size_t table_offset = sizeof(FlatHeader);
+  std::memcpy(corrupt.data() + table_offset + index * sizeof(sealed), &sealed,
+              sizeof(sealed));
+  const uint32_t table_crc =
+      Crc32(corrupt.data() + table_offset,
+            info->sections.size() * sizeof(FlatSectionEntry));
+  std::memcpy(corrupt.data() + offsetof(FlatHeader, section_table_crc),
+              &table_crc, sizeof(table_crc));
+  StatusOr<SeOracle> materialized = MaterializeSeOracle(corrupt);
+  ASSERT_FALSE(materialized.ok());
+  EXPECT_EQ(materialized.status().ToString().find("checksum"),
+            std::string::npos)
+      << materialized.status().ToString();
+  // Sanity-check that the uncorrupted blob still passes both loaders.
   EXPECT_TRUE(OracleView::FromBuffer(fx.blob, no_verify).ok());
-  StatusOr<SeOracle> legacy =
-      DeserializeSeOracle(SerializeSeOracle(*fx.oracle));
-  ASSERT_TRUE(legacy.ok());
+  EXPECT_TRUE(MaterializeSeOracle(fx.blob).ok());
 }
 
 TEST(FlatFormat, HeaderCorruptionRejected) {
@@ -307,32 +326,68 @@ TEST(FlatFormat, HeaderCorruptionRejected) {
   }
 }
 
-// --- Legacy-format corruption parity -------------------------------------
+// --- Owning-loader corruption suite ---------------------------------------
 
-TEST(FlatFormat, LegacyLoaderSurvivesSameCorruptionSuite) {
+TEST(FlatFormat, MaterializeSurvivesCorruptionSuite) {
   FlatFixture& fx = Fixture();
-  const std::string blob = SerializeSeOracle(*fx.oracle);
-  // Truncations at a dense set of offsets (the legacy stream has no section
-  // table; cover the whole framing).
+  const std::string& blob = fx.blob;
+  // Truncations at a dense set of offsets (header, section table and every
+  // section): all must be rejected.
   for (size_t cut = 0; cut < blob.size();
        cut = cut < 64 ? cut + 1 : cut + 61) {
-    EXPECT_FALSE(DeserializeSeOracle(blob.substr(0, cut)).ok())
+    EXPECT_FALSE(MaterializeSeOracle(blob.substr(0, cut)).ok())
         << "cut=" << cut;
   }
-  // Byte flips: must never crash; a load that slips past validation (the
-  // legacy stream has no checksums) must still answer queries memory-safely.
+  // Byte flips: either rejected, or (a flip into padding the checksums do
+  // not cover) an oracle that answers bit-identically to the original on
+  // every pair.
   const uint32_t n = static_cast<uint32_t>(fx.oracle->num_pois());
+  QueryScratch scratch;
   for (size_t pos = 0; pos < blob.size(); pos += 97) {
     std::string corrupt = blob;
     corrupt[pos] ^= 0x55;
-    StatusOr<SeOracle> loaded = DeserializeSeOracle(corrupt);
+    StatusOr<SeOracle> loaded = MaterializeSeOracle(corrupt);
     if (!loaded.ok()) continue;
-    QueryScratch scratch;
-    for (uint32_t s = 0; s < n; s += 7) {
-      for (uint32_t t = 0; t < n; t += 5) {
-        (void)loaded->Distance(s, t, scratch);
+    for (uint32_t s = 0; s < n; ++s) {
+      for (uint32_t t = 0; t < n; ++t) {
+        StatusOr<double> got = loaded->Distance(s, t, scratch);
+        ASSERT_TRUE(got.ok()) << "flip at " << pos << ": " << s << "," << t;
+        EXPECT_EQ(*got, *fx.oracle->Distance(s, t))
+            << "flip at " << pos << ": " << s << "," << t;
       }
     }
+  }
+}
+
+TEST(FlatFormat, LoadSeOracleRejectsNonFlatFiles) {
+  const std::string dir = testing::TempDir();
+  auto write = [&](const std::string& name, const std::string& bytes) {
+    const std::string path = dir + "/" + name;
+    std::ofstream(path, std::ios::binary) << bytes;
+    return path;
+  };
+  // The retired "SEOR" stream (magic 0x53454f52 and version 1, as
+  // little-endian u32s): rejected with a rebuild hint.
+  const uint32_t seor_header[2] = {0x53454f52, 1};
+  const std::string seor = write(
+      "retired.seor",
+      std::string(reinterpret_cast<const char*>(seor_header), 8) + "payload");
+  StatusOr<SeOracle> retired = LoadSeOracle(seor);
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(retired.status().ToString().find("tso build-oracle"),
+            std::string::npos)
+      << retired.status().ToString();
+  // An empty file and 4 KiB of random bytes.
+  std::string noise(4096, '\0');
+  Rng rng(4096);
+  for (char& c : noise) c = static_cast<char>(rng.NextU64());
+  for (const std::string& path :
+       {write("empty.bin", ""), write("noise.bin", noise)}) {
+    StatusOr<SeOracle> loaded = LoadSeOracle(path);
+    ASSERT_FALSE(loaded.ok()) << path;
+    EXPECT_NE(loaded.status().ToString().find(path), std::string::npos)
+        << loaded.status().ToString();
   }
 }
 

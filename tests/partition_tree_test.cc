@@ -106,18 +106,21 @@ TEST(PartitionTree, StructureInvariants) {
 
 TEST(PartitionTree, DeterministicBySeed) {
   TreeFixture fx(12, 13);
-  Rng rng_a(99), rng_b(99);
-  StatusOr<PartitionTree> a =
-      PartitionTree::Build(*fx.ds->mesh, fx.ds->pois, *fx.solver,
-                           SelectionStrategy::kRandom, rng_a, nullptr);
-  StatusOr<PartitionTree> b =
-      PartitionTree::Build(*fx.ds->mesh, fx.ds->pois, *fx.solver,
-                           SelectionStrategy::kRandom, rng_b, nullptr);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a->num_nodes(), b->num_nodes());
-  for (uint32_t id = 0; id < a->num_nodes(); ++id) {
-    EXPECT_EQ(a->node(id).center, b->node(id).center);
-    EXPECT_EQ(a->node(id).parent, b->node(id).parent);
+  for (SelectionStrategy strategy :
+       {SelectionStrategy::kRandom, SelectionStrategy::kGreedy}) {
+    SCOPED_TRACE(SelectionStrategyName(strategy));
+    Rng rng_a(99), rng_b(99);
+    StatusOr<PartitionTree> a = PartitionTree::Build(
+        *fx.ds->mesh, fx.ds->pois, *fx.solver, strategy, rng_a, nullptr);
+    StatusOr<PartitionTree> b = PartitionTree::Build(
+        *fx.ds->mesh, fx.ds->pois, *fx.solver, strategy, rng_b, nullptr);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->num_nodes(), b->num_nodes());
+    for (uint32_t id = 0; id < a->num_nodes(); ++id) {
+      EXPECT_EQ(a->node(id).center, b->node(id).center);
+      EXPECT_EQ(a->node(id).parent, b->node(id).parent);
+      EXPECT_EQ(a->node(id).layer, b->node(id).layer);
+    }
   }
 }
 

@@ -64,7 +64,6 @@ struct Args {
   std::string mesh_path;
   std::string oracle_path;
   std::string out_path = "oracle.bin";
-  std::string format = "flat";  // build-oracle output: flat | legacy
   std::string solver = "mmp";
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   double epsilon = 0.25;
@@ -192,10 +191,7 @@ build-oracle options:
                                 limit; 1 selects the one-sweep-per-tree-node
                                 reference pipeline)
   --seed S                      RNG seed (default 42)
-  --out PATH                    output file (default oracle.bin)
-  --format flat|legacy          on-disk format (default flat: sectioned,
-                                checksummed, mmap-able; legacy: the v1
-                                varint stream)
+  --out PATH                    output flat oracle file (default oracle.bin)
 
 pack options:
   --oracle PATH                 saved oracle file to reshard (required)
@@ -382,14 +378,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--solver") {
       if (!(v = next())) return false;
       args->solver = v;
-    } else if (flag == "--format") {
-      if (!(v = next())) return false;
-      args->format = v;
-      if (args->format != "flat" && args->format != "legacy") {
-        std::fprintf(stderr,
-                     "tso: bad --format '%s' (expected flat|legacy)\n", v);
-        return false;
-      }
     } else if (flag == "--epsilon") {
       if (!(v = next())) return false;
       if (!ParseDoubleFlag(flag, v, &args->epsilon)) return false;
@@ -535,15 +523,12 @@ int CmdBuildOracle(const Args& args) {
                 stats.tree_speculative_ssads, stats.tree_wasted_ssads);
   }
 
-  Status saved = args.format == "legacy"
-                     ? SaveSeOracle(*oracle, args.out_path)
-                     : SaveSeOracleFlat(*oracle, args.out_path);
+  Status saved = SaveSeOracleFlat(*oracle, args.out_path);
   if (!saved.ok()) {
     std::fprintf(stderr, "tso: save: %s\n", saved.ToString().c_str());
     return 1;
   }
-  std::printf("saved to %s (%s format)\n", args.out_path.c_str(),
-              args.format.c_str());
+  std::printf("saved to %s (flat format)\n", args.out_path.c_str());
   return 0;
 }
 
@@ -552,9 +537,9 @@ int CmdPack(const Args& args) {
     std::fprintf(stderr, "tso: pack requires --oracle PATH\n");
     return 1;
   }
-  // Materialize the source oracle (either on-disk format), reshard its
-  // node-pair set, and write the pack. Answers are bit-identical to the
-  // input for any shard count, so this is purely an operational reshaping.
+  // Materialize the source flat oracle, reshard its node-pair set, and
+  // write the pack. Answers are bit-identical to the input for any shard
+  // count, so this is purely an operational reshaping.
   StatusOr<SeOracle> oracle = LoadSeOracle(args.oracle_path);
   if (!oracle.ok()) {
     std::fprintf(stderr, "tso: load: %s\n", oracle.status().ToString().c_str());
@@ -618,7 +603,7 @@ StatusOr<FileKind> SniffFileKind(const std::string& path) {
 /// tombstones and compact-free queries work, inserts do not.
 struct DynamicMount {
   std::optional<PackView> pack;   // keep-alive: FromSource(pack)
-  std::optional<SeOracle> legacy; // keep-alive: FromSource(legacy)
+  std::optional<SeOracle> owned;  // keep-alive: FromSource(owned)
   std::unique_ptr<DynamicSeOracle> dyn;
   const char* base_kind = "";
 };
@@ -655,12 +640,12 @@ StatusOr<DynamicMount> MountDynamic(const std::string& path) {
   }
   StatusOr<SeOracle> oracle = LoadSeOracle(path);
   if (!oracle.ok()) return oracle.status();
-  mount.legacy.emplace(*std::move(oracle));
+  mount.owned.emplace(*std::move(oracle));
   StatusOr<std::unique_ptr<DynamicSeOracle>> dyn = DynamicSeOracle::
-      FromSource(MakeSource(*mount.legacy), nullptr, nullptr, options);
+      FromSource(MakeSource(*mount.owned), nullptr, nullptr, options);
   if (!dyn.ok()) return dyn.status();
   mount.dyn = std::move(*dyn);
-  mount.base_kind = "deserialized oracle";
+  mount.base_kind = "materialized flat oracle";
   return mount;
 }
 
@@ -831,8 +816,8 @@ int CmdQuery(const Args& args) {
     std::fprintf(stderr, "tso: load: %s\n", oracle.status().ToString().c_str());
     return 1;
   }
-  std::printf("loaded oracle (legacy deserialize): n=%zu POIs eps=%.3g "
-              "height=%d\n",
+  std::printf("loaded oracle (materialized flat oracle): n=%zu POIs "
+              "eps=%.3g height=%d\n",
               oracle->num_pois(), oracle->epsilon(), oracle->height());
   return RunQueryPairs(args, *oracle);
 }
@@ -1689,20 +1674,10 @@ int InspectFile(const Args& args) {
     return InspectPack(args.oracle_path, bytes, args.deep);
   }
   if (!LooksLikeFlatOracle(bytes)) {
-    StatusOr<SeOracle> oracle = DeserializeSeOracle(bytes);
-    if (!oracle.ok()) {
-      std::fprintf(stderr, "tso: not a flat oracle, and legacy load failed: "
-                   "%s\n", oracle.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s: legacy stream format (\"SEOR\" v1), %zu bytes\n",
-                args.oracle_path.c_str(), bytes.size());
-    std::printf("  n=%zu POIs eps=%.3g height=%d node_pairs=%zu\n",
-                oracle->num_pois(), oracle->epsilon(), oracle->height(),
-                oracle->pair_set().size());
-    std::printf("  hint: convert to the mmap-able flat format with\n"
-                "    tso build-oracle ... --format flat\n");
-    return 0;
+    // Neither flat nor pack: LoadSeOracle names the file and the problem.
+    std::fprintf(stderr, "tso: %s\n",
+                 LoadSeOracle(args.oracle_path).status().ToString().c_str());
+    return 1;
   }
 
   StatusOr<FlatFileInfo> info = ReadFlatFileInfo(bytes);
