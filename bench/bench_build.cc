@@ -10,12 +10,14 @@
 //   BENCH {"bench":"build","solver":...,"threads":...,"batch":...,
 //          "phase":...,"seconds":...}
 // (plus "kernel", "scaling", and "batch_scaling" summary lines; the schema
-// is documented in docs/bench-json.md).
+// is documented in docs/bench-json.md). The kernel line of an exact (MMP)
+// build adds the MMP window counters to the (zero) SSAD heap-op totals.
 
 #include <filesystem>
 #include <thread>
 
 #include "bench/bench_common.h"
+#include "geodesic/mmp_solver.h"
 #include "geodesic/solver_factory.h"
 #include "geodesic/ssad_kernel.h"
 #include "oracle/oracle_serde.h"
@@ -27,6 +29,7 @@ namespace {
 struct BuildMeasurement {
   SeBuildStats stats;
   SsadCounterSnapshot kernel_ops;  // delta over the build
+  MmpCounterSnapshot mmp_ops;      // delta over the build
   size_t size_bytes = 0;
 };
 
@@ -42,15 +45,16 @@ void EmitPhase(const char* solver, uint32_t threads, uint32_t batch,
       .Emit();
 }
 
-void EmitBuild(const char* solver, uint32_t threads, uint32_t batch,
+void EmitBuild(SolverKind kind, uint32_t threads, uint32_t batch,
                const BuildMeasurement& m) {
+  const char* solver = SolverKindName(kind);
   const SeBuildStats& st = m.stats;
   EmitPhase(solver, threads, batch, "tree", st.tree_seconds, 0);
   EmitPhase(solver, threads, batch, "enhanced", st.enhanced_seconds, 0);
   EmitPhase(solver, threads, batch, "pairs", st.pair_gen_seconds, 0);
   EmitPhase(solver, threads, batch, "total", st.total_seconds, st.ssad_runs);
-  BenchJson("build")
-      .Str("solver", solver)
+  BenchJson kernel("build");
+  kernel.Str("solver", solver)
       .Int("threads", threads)
       .Int("batch", batch)
       .Str("phase", "kernel")
@@ -58,8 +62,14 @@ void EmitBuild(const char* solver, uint32_t threads, uint32_t batch,
       .Int("pushes", m.kernel_ops.pushes)
       .Int("decrease_keys", m.kernel_ops.decrease_keys)
       .Int("relaxations", m.kernel_ops.relaxations)
-      .Int("kernel_runs", m.kernel_ops.runs)
-      .Emit();
+      .Int("kernel_runs", m.kernel_ops.runs);
+  if (kind == SolverKind::kMmpExact) {
+    kernel.Int("mmp_runs", m.mmp_ops.runs)
+        .Int("windows_created", m.mmp_ops.windows_created)
+        .Int("windows_propagated", m.mmp_ops.windows_propagated)
+        .Int("vertices_processed", m.mmp_ops.vertices_processed);
+  }
+  kernel.Emit();
 }
 
 BuildMeasurement MeasureBuild(const Dataset& ds, SolverKind kind,
@@ -82,10 +92,12 @@ BuildMeasurement MeasureBuild(const Dataset& ds, SolverKind kind,
   }
   BuildMeasurement m;
   const SsadCounterSnapshot before = SsadCounterSnapshot::Take();
+  const MmpCounterSnapshot mmp_before = MmpCounterSnapshot::Take();
   StatusOr<SeOracle> oracle =
       SeOracle::Build(*ds.mesh, ds.pois, **solver, options, &m.stats);
   TSO_CHECK(oracle.ok());
   m.kernel_ops = SsadCounterSnapshot::Take().Delta(before);
+  m.mmp_ops = MmpCounterSnapshot::Take().Delta(mmp_before);
   m.size_bytes = oracle->SizeBytes();
   return m;
 }
@@ -187,10 +199,11 @@ void Run() {
   if (hw > thread_counts.back()) thread_counts.push_back(hw);
   const std::vector<uint32_t> batch_sizes = {1, 2, 4, 8};
 
-  // Two kernel-backed engines plus exact MMP. MMP bypasses the SSAD kernel
-  // (its kernel counters stay 0) and clamps every batch to one source, so it
-  // runs only batch 1 (one sweep per tree node) and the default batch (one
-  // sweep per distinct center), at one thread.
+  // Two kernel-backed engines plus exact MMP. MMP has its own kernel (its
+  // kernel line adds MMP window counts; its SSAD heap ops stay 0) and
+  // clamps every batch to one source, so it runs only batch 1 (one sweep per
+  // tree node) and the default batch (one sweep per distinct center), at one
+  // thread.
   Table table("SeOracle::Build per-phase seconds",
               {"solver", "threads", "batch", "tree_s", "enhanced_s",
                "pairs_s", "total_s", "ssad_runs", "kernel_settles",
@@ -216,7 +229,7 @@ void Run() {
                    m.stats.enhanced_seconds, m.stats.pair_gen_seconds,
                    m.stats.total_seconds, m.stats.ssad_runs,
                    m.kernel_ops.settles, batch_speedup);
-      EmitBuild(name, 1, batch, m);
+      EmitBuild(kind, 1, batch, m);
       BenchJson("build")
           .Str("solver", name)
           .Int("threads", 1)
@@ -251,7 +264,7 @@ void Run() {
                    m.stats.enhanced_seconds, m.stats.pair_gen_seconds,
                    m.stats.total_seconds, m.stats.ssad_runs,
                    m.kernel_ops.settles, speedup);
-      EmitBuild(name, threads, kDefaultBatch, m);
+      EmitBuild(kind, threads, kDefaultBatch, m);
       BenchJson("build")
           .Str("solver", name)
           .Int("threads", threads)

@@ -16,21 +16,57 @@ constexpr double kTieEps = 1e-11;
 
 MmpSolver::MmpSolver(const TerrainMesh& mesh)
     : mesh_(mesh),
+      unfoldings_(2 * mesh.num_edges()),
       vdist_(mesh.num_vertices(), kInfDist),
       vertex_processed_(mesh.num_vertices(), 0),
       edge_windows_(mesh.num_edges()),
       face_targets_(mesh.num_faces()),
       vertex_targets_(mesh.num_vertices()) {
   eps_len_ = 1e-9 * mesh.MaxEdgeLength();
+  for (uint32_t e = 0; e < mesh.num_edges(); ++e) {
+    const TerrainMesh::Edge& ed = mesh.edge(e);
+    const uint32_t faces[2] = {ed.f0, ed.f1};
+    for (int side = 0; side < 2; ++side) {
+      Unfolding& u = unfoldings_[2 * size_t{e} + side];
+      u.face = faces[side];
+      if (u.face == kInvalidId) continue;
+      u.apex = mesh.opposite_vertex(u.face, e);
+      const Vec3& pap = mesh.vertex(u.apex);
+      u.apex_pos = ApexPosition(ed.length, Distance(pap, mesh.vertex(ed.v0)),
+                                Distance(pap, mesh.vertex(ed.v1)));
+      u.side_edge[0] = mesh.edge_between(ed.v0, u.apex);
+      u.side_edge[1] = mesh.edge_between(ed.v1, u.apex);
+    }
+  }
 }
 
 double MmpSolver::DistAt(const Window& w, double x) {
   return w.sigma + std::hypot(x - w.sx, w.sy);
 }
 
+bool MmpSolver::WinsStrictly(const Window& w, const Window& o, double x) {
+  // The answer is defined by the hypot distances. sqrt(dx*dx + dy*dy) is
+  // within a few ulps of hypot, or within ~1e-300 of it where the squares
+  // underflow, so when the two sides differ by more than the slack (at
+  // least 1e-12, far beyond that error) the sqrt estimates give the same
+  // answer. Near-ties, and overflow or NaN (which fail both tests), fall
+  // through to the hypot values.
+  constexpr double kFilterEps = 1e-12;
+  const double wx = x - w.sx;
+  const double ox = x - o.sx;
+  const double dw_est = w.sigma + std::sqrt(wx * wx + w.sy * w.sy);
+  const double do_est = o.sigma + std::sqrt(ox * ox + o.sy * o.sy);
+  const double lhs_est = dw_est + kTieEps * (1.0 + dw_est);
+  const double slack = kFilterEps * (1.0 + dw_est + do_est);
+  if (lhs_est < do_est - slack) return true;
+  if (lhs_est > do_est + slack) return false;
+  const double dw = DistAt(w, x);
+  return dw + kTieEps * (1.0 + dw) < DistAt(o, x);
+}
+
 double MmpSolver::MinKey(const Window& w) {
-  if (w.sx < w.b0) return w.sigma + std::hypot(w.b0 - w.sx, w.sy);
-  if (w.sx > w.b1) return w.sigma + std::hypot(w.b1 - w.sx, w.sy);
+  if (w.sx < w.b0) return w.sigma + w.d0;  // == DistAt(w, w.b0)
+  if (w.sx > w.b1) return w.sigma + w.d1;  // == DistAt(w, w.b1)
   return w.sigma + w.sy;
 }
 
@@ -54,6 +90,7 @@ void MmpSolver::Reset() {
     if (std::vector<uint32_t>* list = TargetList(t)) list->clear();
   }
   targets_.clear();
+  target_geometry_.clear();
   target_est_.clear();
   target_settled_.clear();
   target_dirty_.clear();
@@ -110,8 +147,12 @@ void MmpSolver::InsertWindow(Window w) {
 
   // Endpoint relaxations: window point + straight run along the edge is a
   // valid surface path, so these hold whether or not the window survives.
-  UpdateVertex(ed.v0, DistAt(w, w.b0) + w.b0);
-  UpdateVertex(ed.v1, DistAt(w, w.b1) + (len - w.b1));
+  // The two distances are also the d0 / d1 of the fragments that keep an
+  // endpoint of w.
+  const double w_d0 = std::hypot(w.b0 - w.sx, w.sy);
+  const double w_d1 = std::hypot(w.b1 - w.sx, w.sy);
+  UpdateVertex(ed.v0, (w.sigma + w_d0) + w.b0);
+  UpdateVertex(ed.v1, (w.sigma + w_d1) + (len - w.b1));
 
   std::vector<uint32_t>& list = edge_windows_[w.edge];
   if (list.empty()) touched_edges_.push_back(w.edge);
@@ -134,14 +175,13 @@ void MmpSolver::InsertWindow(Window w) {
     }
     // Breakpoints of the winner function on [lo, hi].
     double xs[2];
-    const int ncross = WavefrontCrossings({o.sx, o.sy}, o.sigma,
-                                          {w.sx, w.sy}, w.sigma, xs);
+    const int ncross =
+        WavefrontCrossings({o.sx, o.sy}, o.sigma, {w.sx, w.sy}, w.sigma,
+                           lo + eps_len_, hi - eps_len_, xs);
     double pts[4];
     int npts = 0;
     pts[npts++] = lo;
-    for (int i = 0; i < ncross; ++i) {
-      if (xs[i] > lo + eps_len_ && xs[i] < hi - eps_len_) pts[npts++] = xs[i];
-    }
+    for (int i = 0; i < ncross; ++i) pts[npts++] = xs[i];
     pts[npts++] = hi;
 
     // Sub-intervals of [o.b0, o.b1] that o keeps (everything outside the
@@ -151,9 +191,7 @@ void MmpSolver::InsertWindow(Window w) {
     bool o_lost_any = false;
     for (int i = 0; i + 1 < npts; ++i) {
       const double mid = 0.5 * (pts[i] + pts[i + 1]);
-      const double dw = DistAt(w, mid);
-      const double dov = DistAt(o, mid);
-      if (dw + kTieEps * (1.0 + dw) < dov) {
+      if (WinsStrictly(w, o, mid)) {
         // w wins strictly: o loses this piece.
         o_lost_any = true;
         // Carve the piece out of nothing for o (skip).
@@ -198,17 +236,18 @@ void MmpSolver::InsertWindow(Window w) {
       frag.alive = true;
       frag.b0 = a;
       frag.b1 = b;
-      frag.d0 = std::hypot(a - o.sx, o.sy);
-      frag.d1 = std::hypot(b - o.sx, o.sy);
-      // Source position is inherited (same pseudo-source).
-      frag.sx = o.sx;
-      frag.sy = o.sy;
+      // Source position is inherited (same pseudo-source); a kept endpoint
+      // keeps its distance.
+      frag.d0 = a == o.b0 ? o.d0 : std::hypot(a - o.sx, o.sy);
+      frag.d1 = b == o.b1 ? o.d1 : std::hypot(b - o.sx, o.sy);
       o_fragments_.push_back(frag);
     }
   }
 
   // Materialize o fragments.
   for (Window& frag : o_fragments_) {
+    TSO_DCHECK(frag.d0 == std::hypot(frag.b0 - frag.sx, frag.sy));
+    TSO_DCHECK(frag.d1 == std::hypot(frag.b1 - frag.sx, frag.sy));
     const uint32_t id = static_cast<uint32_t>(pool_.size());
     pool_.push_back(frag);
     rebuilt_.push_back(id);
@@ -224,8 +263,10 @@ void MmpSolver::InsertWindow(Window w) {
     Window frag = w;
     frag.b0 = a;
     frag.b1 = b;
-    frag.d0 = std::hypot(a - w.sx, w.sy);
-    frag.d1 = std::hypot(b - w.sx, w.sy);
+    frag.d0 = a == w.b0 ? w_d0 : std::hypot(a - w.sx, w.sy);
+    frag.d1 = b == w.b1 ? w_d1 : std::hypot(b - w.sx, w.sy);
+    TSO_DCHECK(frag.d0 == std::hypot(frag.b0 - frag.sx, frag.sy));
+    TSO_DCHECK(frag.d1 == std::hypot(frag.b1 - frag.sx, frag.sy));
     frag.propagated = false;
     const uint32_t id = static_cast<uint32_t>(pool_.size());
     pool_.push_back(frag);
@@ -236,9 +277,14 @@ void MmpSolver::InsertWindow(Window w) {
     any_new = true;
   }
 
-  std::sort(rebuilt_.begin(), rebuilt_.end(), [&](uint32_t a, uint32_t b) {
+  // Windows on an edge are disjoint, so their b0 keys are distinct and any
+  // sorted order is the sorted order: skip the sort when it already holds.
+  const auto by_b0 = [&](uint32_t a, uint32_t b) {
     return pool_[a].b0 < pool_[b].b0;
-  });
+  };
+  if (!std::is_sorted(rebuilt_.begin(), rebuilt_.end(), by_b0)) {
+    std::sort(rebuilt_.begin(), rebuilt_.end(), by_b0);
+  }
   // The edge's old list becomes next call's scratch.
   list.swap(rebuilt_);
 
@@ -251,16 +297,13 @@ void MmpSolver::InsertWindow(Window w) {
 
 void MmpSolver::Propagate(const Window& w) {
   const TerrainMesh::Edge& ed = mesh_.edge(w.edge);
-  const uint32_t target_face = mesh_.other_face(w.edge, w.from_face);
-  if (target_face == kInvalidId) return;
+  const Unfolding& unf = unfolding(w.edge, w.from_face);
+  if (unf.face == kInvalidId) return;
   if (w.sy <= eps_len_) return;  // collinear source: no 2D spread across
 
   const double len = ed.length;
-  const uint32_t apex = mesh_.opposite_vertex(target_face, w.edge);
-  const Vec3& pv0 = mesh_.vertex(ed.v0);
-  const Vec3& pv1 = mesh_.vertex(ed.v1);
-  const Vec3& pap = mesh_.vertex(apex);
-  const Vec2 a2d = ApexPosition(len, Distance(pap, pv0), Distance(pap, pv1));
+  const uint32_t target_face = unf.face;
+  const Vec2& a2d = unf.apex_pos;
   if (a2d.y <= eps_len_) return;  // degenerate unfolding
 
   const double sx = w.sx;
@@ -269,11 +312,13 @@ void MmpSolver::Propagate(const Window& w) {
   struct Side {
     Vec2 p;          // base-line endpoint of the target edge
     uint32_t pv;     // mesh vertex at p
+    uint32_t te;     // target edge, pv-apex
   };
-  const Side sides[2] = {{{0.0, 0.0}, ed.v0}, {{len, 0.0}, ed.v1}};
+  const Side sides[2] = {{{0.0, 0.0}, ed.v0, unf.side_edge[0]},
+                         {{len, 0.0}, ed.v1, unf.side_edge[1]}};
 
   for (const Side& side : sides) {
-    const uint32_t te = mesh_.edge_between(side.pv, apex);
+    const uint32_t te = side.te;
     TSO_DCHECK(te != kInvalidId);
     const TerrainMesh::Edge& ted = mesh_.edge(te);
     const Vec2 P = side.p;
@@ -419,9 +464,32 @@ Status MmpSolver::InitSource(const SurfacePoint& source) {
 
 double MmpSolver::VertexDistance(uint32_t v) const { return vdist_[v]; }
 
-double MmpSolver::EvaluatePoint(const SurfacePoint& p) const {
-  if (p.is_vertex()) return vdist_[p.vertex];
-  if (p.face == kInvalidId) return kInfDist;
+void MmpSolver::ComputePointGeometry(const SurfacePoint& p,
+                                     PointGeometry* g) const {
+  const auto& tri = mesh_.face(p.face);
+  for (int i = 0; i < 3; ++i) {
+    g->vertex_dist[i] = Distance(mesh_.vertex(tri[i]), p.pos);
+    // Unfold p into the edge frame (y > 0 side).
+    const TerrainMesh::Edge& ed = mesh_.edge(mesh_.face_edges(p.face)[i]);
+    const double dpv0 = Distance(p.pos, mesh_.vertex(ed.v0));
+    const double dpv1 = Distance(p.pos, mesh_.vertex(ed.v1));
+    g->unfolded[i] = ApexPosition(ed.length, dpv0, dpv1);
+  }
+}
+
+double MmpSolver::EvaluatePoint(const SurfacePoint& p,
+                                const PointGeometry* geometry) const {
+  // Out-of-range ids are unreachable, as in DijkstraSolver.
+  if (p.is_vertex()) {
+    return p.vertex < vdist_.size() ? vdist_[p.vertex] : kInfDist;
+  }
+  if (p.face >= mesh_.num_faces()) return kInfDist;  // includes kInvalidId
+  PointGeometry computed{};
+  if (geometry == nullptr) {
+    ComputePointGeometry(p, &computed);
+    geometry = &computed;
+  }
+  const PointGeometry& g = *geometry;
   double best = kInfDist;
   // Direct in-face segment from the source.
   if (!source_.is_vertex() && source_.face == p.face) {
@@ -432,7 +500,7 @@ double MmpSolver::EvaluatePoint(const SurfacePoint& p) const {
   for (int i = 0; i < 3; ++i) {
     const uint32_t v = tri[i];
     if (vdist_[v] < kInfDist) {
-      best = std::min(best, vdist_[v] + Distance(mesh_.vertex(v), p.pos));
+      best = std::min(best, vdist_[v] + g.vertex_dist[i]);
     }
   }
   // Via windows entering this face.
@@ -440,11 +508,7 @@ double MmpSolver::EvaluatePoint(const SurfacePoint& p) const {
     const uint32_t e = mesh_.face_edges(p.face)[i];
     const std::vector<uint32_t>& list = edge_windows_[e];
     if (list.empty()) continue;
-    const TerrainMesh::Edge& ed = mesh_.edge(e);
-    // Unfold p into the edge frame (y > 0 side).
-    const double dpv0 = Distance(p.pos, mesh_.vertex(ed.v0));
-    const double dpv1 = Distance(p.pos, mesh_.vertex(ed.v1));
-    const Vec2 p2d = ApexPosition(ed.length, dpv0, dpv1);
+    const Vec2& p2d = g.unfolded[i];
     for (uint32_t wid : list) {
       const Window& w = pool_[wid];
       if (!w.alive) continue;
@@ -461,20 +525,35 @@ double MmpSolver::EvaluatePoint(const SurfacePoint& p) const {
         }
       }
       // Corner routes (always valid upper bounds; also plug trim gaps).
+      // w.sigma + w.d0 is DistAt(w, w.b0) bit for bit (likewise at b1).
       best = std::min(best,
-                      DistAt(w, w.b0) + std::hypot(p2d.x - w.b0, p2d.y));
+                      (w.sigma + w.d0) + std::hypot(p2d.x - w.b0, p2d.y));
       best = std::min(best,
-                      DistAt(w, w.b1) + std::hypot(p2d.x - w.b1, p2d.y));
+                      (w.sigma + w.d1) + std::hypot(p2d.x - w.b1, p2d.y));
     }
   }
   return best;
 }
 
 double MmpSolver::PointDistance(const SurfacePoint& p) const {
-  return EvaluatePoint(p);
+  return EvaluatePoint(p, nullptr);
 }
 
 Status MmpSolver::Run(const SurfacePoint& source, const SsadOptions& opts) {
+  const Status status = RunSweep(source, opts);
+  MmpKernelCounters& g = GlobalMmpCounters();
+  g.runs.fetch_add(1, std::memory_order_relaxed);
+  g.windows_created.fetch_add(stats_.windows_created,
+                              std::memory_order_relaxed);
+  g.windows_propagated.fetch_add(stats_.windows_propagated,
+                                 std::memory_order_relaxed);
+  g.vertices_processed.fetch_add(stats_.vertices_processed,
+                                 std::memory_order_relaxed);
+  return status;
+}
+
+Status MmpSolver::RunSweep(const SurfacePoint& source,
+                           const SsadOptions& opts) {
   Reset();
 
   // Register targets (cover set and/or stop target).
@@ -485,6 +564,13 @@ Status MmpSolver::Run(const SurfacePoint& source, const SsadOptions& opts) {
   if (opts.stop_target != nullptr) {
     stop_target_idx = static_cast<int>(targets_.size());
     targets_.push_back(*opts.stop_target);
+  }
+  target_geometry_.resize(targets_.size());
+  for (uint32_t t = 0; t < targets_.size(); ++t) {
+    const SurfacePoint& p = targets_[t];
+    if (!p.is_vertex() && p.face < mesh_.num_faces()) {
+      ComputePointGeometry(p, &target_geometry_[t]);
+    }
   }
   target_est_.assign(targets_.size(), kInfDist);
   target_settled_.assign(targets_.size(), 0);
@@ -503,7 +589,7 @@ Status MmpSolver::Run(const SurfacePoint& source, const SsadOptions& opts) {
       const uint32_t t = dirty_stack_.back();
       dirty_stack_.pop_back();
       target_dirty_[t] = 0;
-      const double est = EvaluatePoint(targets_[t]);
+      const double est = EvaluatePoint(targets_[t], &target_geometry_[t]);
       if (est < target_est_[t]) {
         target_est_[t] = est;
         target_heap_.push_back({est, t, 2});
@@ -544,12 +630,9 @@ Status MmpSolver::Run(const SurfacePoint& source, const SsadOptions& opts) {
       if (top.id >= pool_.size()) continue;
       Window& w = pool_[top.id];
       if (!w.alive || w.propagated) continue;
-      const double key = MinKey(w);
-      if (key > top.key + kTieEps * (1.0 + top.key)) {
-        heap_.push_back({key, top.id, 0});
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>());
-        continue;
-      }
+      // A window's fields never change after its push, so its key is
+      // still the one it was pushed with.
+      TSO_DCHECK(MinKey(w) == top.key);
       frontier_ = std::max(frontier_, top.key);
       if (top.key > opts.radius_bound) break;
       w.propagated = true;

@@ -29,19 +29,17 @@ bool RaySegmentIntersect(const Vec2& origin, const Vec2& through,
   return true;
 }
 
-int WavefrontCrossings(const Vec2& s1, double sigma1, const Vec2& s2,
-                       double sigma2, double xs[2]) {
+namespace {
+
+// Candidate roots of the squared crossing equation (at most two); returns
+// their count. Squaring can add spurious roots, which VerifyCrossings drops.
+int CrossingCandidates(const Vec2& s1, double sigma1, const Vec2& s2,
+                       double sigma2, double cand[2]) {
   // f1(x) + sigma1 = f2(x) + sigma2 with fi(x) = sqrt((x-ai)^2 + bi^2).
   const double a1 = s1.x, b1 = s1.y;
   const double a2 = s2.x, b2 = s2.y;
   const double c = sigma2 - sigma1;  // f1 - f2 = c
 
-  auto f1 = [&](double x) { return std::hypot(x - a1, b1); };
-  auto f2 = [&](double x) { return std::hypot(x - a2, b2); };
-  auto residual = [&](double x) { return (f1(x) + sigma1) - (f2(x) + sigma2); };
-
-  int count = 0;
-  double cand[4];
   int n_cand = 0;
 
   // f1^2 - f2^2 = A x + B.
@@ -70,16 +68,25 @@ int WavefrontCrossings(const Vec2& s1, double sigma1, const Vec2& s2,
       }
     }
   }
+  return n_cand;
+}
 
+// Keeps the candidates that satisfy the unsquared equation, deduplicated, in
+// ascending order; returns their count.
+int VerifyCrossings(const Vec2& s1, double sigma1, const Vec2& s2,
+                    double sigma2, const double* cand, int n_cand,
+                    double xs[2]) {
+  int count = 0;
   for (int i = 0; i < n_cand; ++i) {
     const double x = cand[i];
     if (!std::isfinite(x)) continue;
+    const double f1 = std::hypot(x - s1.x, s1.y);
+    const double f2 = std::hypot(x - s2.x, s2.y);
     // Filter roots introduced by squaring: require the original equation to
     // hold to a tolerance that scales with magnitude.
-    const double scale =
-        1.0 + std::abs(f1(x)) + std::abs(f2(x)) + std::abs(sigma1) +
-        std::abs(sigma2);
-    if (std::abs(residual(x)) <= 1e-9 * scale) {
+    const double scale = 1.0 + std::abs(f1) + std::abs(f2) +
+                         std::abs(sigma1) + std::abs(sigma2);
+    if (std::abs((f1 + sigma1) - (f2 + sigma2)) <= 1e-9 * scale) {
       // Deduplicate.
       bool dup = false;
       for (int j = 0; j < count; ++j) {
@@ -89,6 +96,37 @@ int WavefrontCrossings(const Vec2& s1, double sigma1, const Vec2& s2,
     }
   }
   if (count == 2 && xs[0] > xs[1]) std::swap(xs[0], xs[1]);
+  return count;
+}
+
+}  // namespace
+
+int WavefrontCrossings(const Vec2& s1, double sigma1, const Vec2& s2,
+                       double sigma2, double xs[2]) {
+  double cand[2];
+  const int n_cand = CrossingCandidates(s1, sigma1, s2, sigma2, cand);
+  return VerifyCrossings(s1, sigma1, s2, sigma2, cand, n_cand, xs);
+}
+
+int WavefrontCrossings(const Vec2& s1, double sigma1, const Vec2& s2,
+                       double sigma2, double lo, double hi, double xs[2]) {
+  double cand[2];
+  const int n_cand = CrossingCandidates(s1, sigma1, s2, sigma2, cand);
+  // Verified roots are a subset of the candidates, so with no candidate in
+  // (lo, hi) the answer is empty without a single hypot.
+  bool any_inside = false;
+  for (int i = 0; i < n_cand; ++i) {
+    if (cand[i] > lo && cand[i] < hi) any_inside = true;
+  }
+  if (!any_inside) return 0;
+  // Verify all candidates, not only the inside ones, so de-duplication
+  // keeps exactly the root the full function keeps.
+  double all[2];
+  const int n_all = VerifyCrossings(s1, sigma1, s2, sigma2, cand, n_cand, all);
+  int count = 0;
+  for (int i = 0; i < n_all; ++i) {
+    if (all[i] > lo && all[i] < hi) xs[count++] = all[i];
+  }
   return count;
 }
 

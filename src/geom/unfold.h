@@ -34,6 +34,13 @@ bool RaySegmentIntersect(const Vec2& origin, const Vec2& through,
 int WavefrontCrossings(const Vec2& s1, double sigma1, const Vec2& s2,
                        double sigma2, double xs[2]);
 
+/// The solutions of the overload above that lie strictly inside (lo, hi),
+/// ascending: exactly that subset, bit for bit. It skips the (hypot-heavy)
+/// verification when no candidate root of the squared equation falls in the
+/// range, which is the common case for the MMP window trim.
+int WavefrontCrossings(const Vec2& s1, double sigma1, const Vec2& s2,
+                       double sigma2, double lo, double hi, double xs[2]);
+
 }  // namespace tso
 
 #endif  // TSO_GEOM_UNFOLD_H_

@@ -36,9 +36,10 @@ struct Dataset {
   size_t n() const { return pois.size(); }
 };
 
-/// Materializes a scaled-down stand-in for a paper dataset (see DESIGN.md §3
-/// substitution 1). `target_vertices` and `num_pois` default to 0 =
-/// "suite-scale defaults" chosen so the full benchmark suite runs in minutes.
+/// Materializes a scaled-down stand-in for a paper dataset (see
+/// docs/substitutions.md, "Synthetic terrain"). `target_vertices` and
+/// `num_pois` default to 0 = "suite-scale defaults" chosen so the full
+/// benchmark suite runs in minutes.
 StatusOr<Dataset> MakePaperDataset(PaperDataset which,
                                    uint32_t target_vertices = 0,
                                    size_t num_pois = 0, uint64_t seed = 42);

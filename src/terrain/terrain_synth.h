@@ -11,9 +11,10 @@ namespace tso {
 /// value noise, optionally ridged for mountainous relief).
 ///
 /// These stand in for the proprietary DEM rasters used in the paper (see
-/// DESIGN.md §3, substitution 1). The field is a continuous function of
-/// (x, y), so the same terrain can be sampled at any resolution — which is
-/// how the effect-of-N experiment re-meshes "the same region" (§5.2.1).
+/// docs/substitutions.md, "Synthetic terrain"). The field is a continuous
+/// function of (x, y), so the same terrain can be sampled at any resolution
+/// — which is how the effect-of-N experiment re-meshes "the same region"
+/// (§5.2.1).
 struct SynthSpec {
   double extent_x = 14000.0;  // metres
   double extent_y = 10000.0;

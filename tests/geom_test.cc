@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -151,6 +152,63 @@ TEST(Unfold, WavefrontCrossingsVerifyEquationRandom) {
       EXPECT_NEAR(d1, d2, 1e-6 * (1.0 + d1));
     }
   }
+}
+
+// The range-limited overload is the full function's result filtered to the
+// open interval (lo, hi), bit for bit, including roots a hair inside or
+// outside either end and equal-sigma pairs (the linear-equation branch).
+TEST(Unfold, WavefrontCrossingsInRangeIsFilteredFullResult) {
+  Rng rng(20170514);
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  int in_range_roots = 0;
+  int near_end_cases = 0;
+  int equal_sigma_cases = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    const Vec2 s1{rng.UniformDouble(-50, 150), rng.UniformDouble(0, 60)};
+    const Vec2 s2{rng.UniformDouble(-50, 150), rng.UniformDouble(0, 60)};
+    const double g1 = rng.UniformDouble(0, 80);
+    double g2 = rng.UniformDouble(0, 80);
+    if (i % 10 == 0) {
+      g2 = g1;
+      ++equal_sigma_cases;
+    }
+    double full[2];
+    const int n_full = WavefrontCrossings(s1, g1, s2, g2, full);
+    double lo = rng.UniformDouble(-10, 110);
+    double hi = rng.UniformDouble(-10, 110);
+    if (lo > hi && i % 7 != 0) std::swap(lo, hi);  // some stay empty
+    if (n_full > 0 && i % 5 == 1) {
+      // Put one end within 1e-8 of a root, on either side of it.
+      const double root = full[rng.Uniform(n_full)];
+      const double nudge = rng.UniformDouble(-1e-8, 1e-8);
+      if (rng.Bernoulli(0.5)) {
+        lo = root + nudge;
+        hi = lo + rng.UniformDouble(0, 50);
+      } else {
+        hi = root + nudge;
+        lo = hi - rng.UniformDouble(0, 50);
+      }
+      ++near_end_cases;
+    }
+    double expected[2];
+    int n_expected = 0;
+    for (int k = 0; k < n_full; ++k) {
+      if (full[k] > lo && full[k] < hi) expected[n_expected++] = full[k];
+    }
+    double got[2];
+    const int n_got = WavefrontCrossings(s1, g1, s2, g2, lo, hi, got);
+    ASSERT_EQ(n_got, n_expected) << "case " << i;
+    for (int k = 0; k < n_got; ++k) {
+      ASSERT_TRUE(same_bits(got[k], expected[k])) << "case " << i;
+    }
+    in_range_roots += n_got;
+  }
+  // Both the early exit and the verified path ran many times.
+  EXPECT_GT(in_range_roots, 10'000);
+  EXPECT_GT(near_end_cases, 5'000);
+  EXPECT_EQ(equal_sigma_cases, 10'000);
 }
 
 }  // namespace

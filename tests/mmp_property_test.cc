@@ -9,9 +9,11 @@
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "geodesic/dijkstra_solver.h"
 #include "geodesic/mmp_solver.h"
 #include "geodesic/steiner_graph.h"
 #include "geodesic/steiner_solver.h"
+#include "geom/unfold.h"
 #include "mesh/point_locator.h"
 #include "mesh/refine.h"
 #include "terrain/poi_generator.h"
@@ -141,7 +143,14 @@ TEST(MmpState, UnrunSolverReportsInfinity) {
 TEST(MmpState, RunStatsPopulated) {
   TerrainMesh mesh = Synth(14, 200.0, 300);
   MmpSolver solver(mesh);
+  const MmpCounterSnapshot before = MmpCounterSnapshot::Take();
   ASSERT_TRUE(solver.Run(SurfacePoint::AtVertex(mesh, 0), {}).ok());
+  // One run flushes exactly its own stats into the process-wide counters.
+  const MmpCounterSnapshot delta = MmpCounterSnapshot::Take().Delta(before);
+  EXPECT_EQ(delta.runs, 1u);
+  EXPECT_EQ(delta.windows_created, solver.stats().windows_created);
+  EXPECT_EQ(delta.windows_propagated, solver.stats().windows_propagated);
+  EXPECT_EQ(delta.vertices_processed, solver.stats().vertices_processed);
   EXPECT_GT(solver.stats().windows_created, 0u);
   EXPECT_GT(solver.stats().windows_propagated, 0u);
   EXPECT_GT(solver.stats().vertices_processed, 0u);
@@ -150,6 +159,89 @@ TEST(MmpState, RunStatsPopulated) {
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The per-(edge, side) unfolding table holds exactly what window
+// propagation would otherwise compute on the fly, boundary edges included.
+TEST(MmpUnfolding, TableMatchesOnTheFlyUnfolding) {
+  std::vector<TerrainMesh> meshes;
+  meshes.push_back(Synth(1, 0.0));
+  meshes.push_back(Synth(2, 150.0));
+  meshes.push_back(Synth(3, 450.0, 500));
+  StatusOr<TerrainMesh> refined = RefineCentroid(meshes.back());
+  ASSERT_TRUE(refined.ok());
+  meshes.push_back(std::move(*refined));
+  for (size_t m = 0; m < meshes.size(); ++m) {
+    const TerrainMesh& mesh = meshes[m];
+    const MmpSolver solver(mesh);
+    size_t interior = 0;
+    size_t boundary = 0;
+    for (uint32_t e = 0; e < mesh.num_edges(); ++e) {
+      const TerrainMesh::Edge& ed = mesh.edge(e);
+      for (const uint32_t from_face : {ed.f0, ed.f1}) {
+        const MmpSolver::Unfolding& u = solver.unfolding(e, from_face);
+        const uint32_t face = mesh.other_face(e, from_face);
+        ASSERT_EQ(u.face, face) << "mesh " << m << " edge " << e;
+        if (face == kInvalidId) {
+          ++boundary;
+          continue;
+        }
+        ++interior;
+        const uint32_t apex = mesh.opposite_vertex(face, e);
+        ASSERT_EQ(u.apex, apex) << "mesh " << m << " edge " << e;
+        const Vec3& pap = mesh.vertex(apex);
+        const Vec2 apex_pos =
+            ApexPosition(ed.length, Distance(pap, mesh.vertex(ed.v0)),
+                         Distance(pap, mesh.vertex(ed.v1)));
+        EXPECT_TRUE(SameBits(u.apex_pos.x, apex_pos.x)) << "edge " << e;
+        EXPECT_TRUE(SameBits(u.apex_pos.y, apex_pos.y)) << "edge " << e;
+        EXPECT_EQ(u.side_edge[0], mesh.edge_between(ed.v0, apex));
+        EXPECT_EQ(u.side_edge[1], mesh.edge_between(ed.v1, apex));
+        EXPECT_NE(u.side_edge[0], kInvalidId);
+        EXPECT_NE(u.side_edge[1], kInvalidId);
+      }
+    }
+    EXPECT_GT(boundary, 0u) << "mesh " << m;
+    EXPECT_GT(interior, boundary) << "mesh " << m;
+  }
+}
+
+// Target ids past the mesh (vertex >= N, face >= F, not kInvalidId) are
+// unreachable, as DijkstraSolver answers for them, whether they come as a
+// cover target, a stop target or a PointDistance query; the solver must
+// not index its labels or the face table with them.
+TEST(MmpState, OutOfRangeTargetsAreUnreachable) {
+  TerrainMesh mesh = Synth(17, 200.0, 200);
+  const uint32_t n = static_cast<uint32_t>(mesh.num_vertices());
+  const uint32_t f = static_cast<uint32_t>(mesh.num_faces());
+  SurfacePoint bad_vertex = SurfacePoint::AtVertex(mesh, 3);
+  bad_vertex.vertex = n + 5;
+  const SurfacePoint bad_face = SurfacePoint::OnFace(f + 5, mesh.vertex(3));
+  const SurfacePoint source = SurfacePoint::AtVertex(mesh, 0);
+  const SurfacePoint good = SurfacePoint::AtVertex(mesh, n / 2);
+  MmpSolver mmp(mesh);
+  DijkstraSolver dijkstra(mesh);
+  for (const SurfacePoint& bad : {bad_vertex, bad_face}) {
+    const std::vector<SurfacePoint> cover = {good, bad};
+    SsadOptions cover_opts;
+    cover_opts.cover_targets = &cover;
+    ASSERT_TRUE(mmp.Run(source, cover_opts).ok());
+    EXPECT_EQ(mmp.PointDistance(bad), kInfDist);
+    EXPECT_TRUE(std::isfinite(mmp.PointDistance(good)));
+    ASSERT_TRUE(dijkstra.Run(source, cover_opts).ok());
+    EXPECT_EQ(dijkstra.PointDistance(bad), kInfDist);
+
+    SsadOptions stop_opts;
+    stop_opts.stop_target = &bad;
+    ASSERT_TRUE(mmp.Run(source, stop_opts).ok());
+    EXPECT_EQ(mmp.PointDistance(bad), kInfDist);
+    // Never settled, so the run swept the whole mesh.
+    EXPECT_EQ(mmp.frontier(), kInfDist);
+    EXPECT_TRUE(std::isfinite(mmp.VertexDistance(n - 1)));
+
+    ASSERT_TRUE(mmp.Run(source, {}).ok());
+    EXPECT_EQ(mmp.PointDistance(bad), kInfDist);
+  }
 }
 
 // The enhanced-edge phase sweeps each partition-tree center once, at its
