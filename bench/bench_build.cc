@@ -14,7 +14,6 @@
 // build adds the MMP window counters to the (zero) SSAD heap-op totals.
 
 #include <filesystem>
-#include <thread>
 
 #include "bench/bench_common.h"
 #include "geodesic/mmp_solver.h"
@@ -192,11 +191,6 @@ void Run() {
   TSO_CHECK(ds.ok());
   std::cout << ds->mesh->DebugString() << ", n=" << ds->n() << "\n";
 
-  // Always sweep to 8 threads (the acceptance gate's comparison point) even
-  // when oversubscribed, plus the hardware width when it is larger.
-  const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<uint32_t> thread_counts = {1, 2, 4, 8};
-  if (hw > thread_counts.back()) thread_counts.push_back(hw);
   const std::vector<uint32_t> batch_sizes = {1, 2, 4, 8};
 
   // Two kernel-backed engines plus exact MMP. MMP has its own kernel (its
@@ -253,7 +247,7 @@ void Run() {
     }
 
     // --- Thread dimension at the default batch (threads=1 covered above) ---
-    for (uint32_t threads : thread_counts) {
+    for (uint32_t threads : ThreadSweep()) {
       if (threads == 1 || exact) continue;
       const BuildMeasurement m =
           MeasureBuild(*ds, kind, threads, kDefaultBatch, seed);

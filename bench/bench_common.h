@@ -1,17 +1,17 @@
 #ifndef TSO_BENCH_BENCH_COMMON_H_
 #define TSO_BENCH_BENCH_COMMON_H_
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/logging.h"
+#include "base/parallel.h"
 #include "base/rng.h"
 #include "base/timer.h"
 #include "geodesic/mmp_solver.h"
@@ -155,29 +155,34 @@ inline std::vector<std::pair<uint32_t, uint32_t>> MakeQueryPairs(
 }
 
 /// Exact geodesic distances for a set of query pairs (ground truth for the
-/// error panels). Parallel across pairs.
+/// error panels). Parallel across pairs, one MmpSolver per worker.
 inline std::vector<double> ExactDistances(
     const TerrainMesh& mesh, const std::vector<SurfacePoint>& pois,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs) {
   std::vector<double> out(pairs.size(), 0.0);
-  const uint32_t num_threads =
-      std::max(1u, std::thread::hardware_concurrency());
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  for (uint32_t t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&]() {
-      MmpSolver solver(mesh);
-      while (true) {
-        const size_t i = next.fetch_add(1);
-        if (i >= pairs.size()) break;
-        out[i] =
-            solver.PointToPoint(pois[pairs[i].first], pois[pairs[i].second])
-                .value();
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
+  const uint32_t workers = HardwareThreads();
+  std::vector<std::unique_ptr<MmpSolver>> solvers(workers);
+  auto solve = [&](uint32_t w, size_t begin, size_t end) -> Status {
+    if (solvers[w] == nullptr) solvers[w] = std::make_unique<MmpSolver>(mesh);
+    for (size_t i = begin; i < end; ++i) {
+      StatusOr<double> d = solvers[w]->PointToPoint(pois[pairs[i].first],
+                                                    pois[pairs[i].second]);
+      if (!d.ok()) return d.status();
+      out[i] = *d;
+    }
+    return Status::Ok();
+  };
+  TSO_CHECK(ParallelFor(workers, pairs.size(), 1, solve).ok());
   return out;
+}
+
+/// The thread counts of every scaling sweep: always 1, 2, 4 and 8 (8 is
+/// the acceptance gate's comparison point, swept even when oversubscribed),
+/// plus HardwareThreads() when it is larger.
+inline std::vector<uint32_t> ThreadSweep() {
+  std::vector<uint32_t> counts = {1, 2, 4, 8};
+  if (HardwareThreads() > counts.back()) counts.push_back(HardwareThreads());
+  return counts;
 }
 
 /// Standard options for a parallel SE build over `mesh` with the exact

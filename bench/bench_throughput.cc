@@ -43,13 +43,6 @@ void EmitJson(const char* workload, uint32_t threads, size_t queries,
       .Emit();
 }
 
-std::vector<uint32_t> ThreadCounts() {
-  std::vector<uint32_t> counts = {1, 2, 4, 8};
-  const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  if (hw > counts.back()) counts.push_back(hw);
-  return counts;
-}
-
 void Run() {
   const uint64_t seed = 42;
   PrintHeader("Query throughput — concurrent batch engine",
@@ -79,7 +72,7 @@ void Run() {
   Table p2p("P2P DistanceBatch QPS vs threads",
             {"threads", "queries", "seconds", "qps", "speedup"});
   double base_qps = 0.0;
-  for (uint32_t threads : ThreadCounts()) {
+  for (uint32_t threads : ThreadSweep()) {
     WallTimer timer;
     StatusOr<std::vector<double>> answers =
         DistanceBatch(MakeSource(*oracle), pairs, threads);
@@ -175,7 +168,7 @@ void Run() {
   Table knn("kNN (k=10, all POIs) seconds vs threads",
             {"threads", "knn_queries", "seconds", "qps", "speedup"});
   base_qps = 0.0;
-  for (uint32_t threads : ThreadCounts()) {
+  for (uint32_t threads : ThreadSweep()) {
     WallTimer timer;
     for (size_t r = 0; r < knn_repeats; ++r) {
       for (uint32_t q = 0; q < ds->n(); ++q) {
@@ -228,7 +221,7 @@ void Run() {
   Table routed("Pack-routed P2P DistanceBatch QPS vs threads (4 shards)",
                {"threads", "queries", "seconds", "qps", "speedup"});
   base_qps = 0.0;
-  for (uint32_t threads : ThreadCounts()) {
+  for (uint32_t threads : ThreadSweep()) {
     WallTimer timer;
     StatusOr<std::vector<double>> answers =
         DistanceBatch(MakeSource(*pack), pairs, threads);

@@ -1,24 +1,30 @@
 #include "oracle/node_pair_set.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <thread>
 #include <utility>
 
 #include "base/logging.h"
+#include "base/parallel.h"
 
 namespace tso {
 namespace {
 
-/// One unit of the §3.3 splitting recursion: either emits (a, b) as
-/// well-separated or pushes the split children. Shared by the serial and
-/// parallel paths so both walk the identical recursion tree.
+/// One worker's share of the §3.3 splitting recursion: emits well-separated
+/// pairs into `pairs` and counts its work. The seed expansion and every
+/// worker walk the same recursion tree through Step.
 struct SplitWalk {
+  SplitWalk(const CompressedTree& tree, double separation,
+            CenterDistFn center_dist)
+      : tree(tree),
+        separation(separation),
+        center_dist(std::move(center_dist)) {}
+
   const CompressedTree& tree;
   double separation;
-  const std::function<double(uint32_t, uint32_t)>& center_dist;
-  std::vector<NodePair>* out;
+  CenterDistFn center_dist;
+  std::vector<NodePair> pairs;
+  std::vector<std::pair<uint32_t, uint32_t>> stack;
   size_t considered = 0;
   size_t dist_evals = 0;
 
@@ -34,7 +40,7 @@ struct SplitWalk {
     // Radii of the *enlarged* disks (2x node radius; Distance property).
     const double enlarged = 2.0 * std::max(na.radius, nb.radius);
     if (dist >= separation * enlarged) {
-      out->push_back({a, b, dist});
+      pairs.push_back({a, b, dist});
       return;
     }
     // Split the larger-radius node (ties: smaller node id, §3.3).
@@ -55,13 +61,13 @@ struct SplitWalk {
     }
   }
 
-  void Run(std::vector<std::pair<uint32_t, uint32_t>>& stack) {
+  /// Walks the whole recursion subtree under `seed` depth-first.
+  void Run(std::pair<uint32_t, uint32_t> seed) {
+    stack.assign(1, seed);
     while (!stack.empty()) {
       const auto [a, b] = stack.back();
       stack.pop_back();
-      Step(a, b, [&stack](uint32_t x, uint32_t y) {
-        stack.emplace_back(x, y);
-      });
+      Step(a, b, [this](uint32_t x, uint32_t y) { stack.emplace_back(x, y); });
     }
   }
 };
@@ -89,103 +95,58 @@ StatusOr<NodePairSet> FinishSet(std::vector<NodePair> pairs) {
 
 StatusOr<NodePairSet> NodePairSet::Generate(
     const CompressedTree& tree, double epsilon,
-    const std::function<double(uint32_t, uint32_t)>& center_dist,
-    NodePairSetStats* stats) {
+    const std::function<CenterDistFn(uint32_t)>& make_center_dist,
+    uint32_t num_threads, NodePairSetStats* stats) {
   if (epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive");
   }
-  const double separation = 2.0 / epsilon + 2.0;
-
-  std::vector<NodePair> pairs;
-  SplitWalk walk{tree, separation, center_dist, &pairs};
-  std::vector<std::pair<uint32_t, uint32_t>> stack;
-  stack.emplace_back(tree.root(), tree.root());
-  walk.Run(stack);
-
-  if (stats != nullptr) {
-    stats->pairs_considered = walk.considered;
-    stats->pairs_final = pairs.size();
-    stats->distance_evals = walk.dist_evals;
-  }
-  return FinishSet(std::move(pairs));
-}
-
-StatusOr<NodePairSet> NodePairSet::Generate(
-    const CompressedTree& tree, double epsilon,
-    const NodePairParallelOptions& options, NodePairSetStats* stats) {
-  if (options.num_threads <= 1 || options.make_center_dist == nullptr) {
-    if (options.make_center_dist == nullptr) {
-      return Status::InvalidArgument("make_center_dist is required");
-    }
-    return Generate(tree, epsilon, options.make_center_dist(0), stats);
-  }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (make_center_dist == nullptr) {
+    return Status::InvalidArgument("make_center_dist is required");
   }
   const double separation = 2.0 / epsilon + 2.0;
-  const uint32_t num_threads = options.num_threads;
+  const uint32_t workers = std::max(num_threads, 1u);
+  std::vector<SplitWalk> walks;
+  walks.reserve(workers);
+  for (uint32_t t = 0; t < workers; ++t) {
+    walks.emplace_back(tree, separation, make_center_dist(t));
+  }
 
-  // Breadth-first seed expansion on the calling thread (with worker 0's
-  // distance function — no worker is running yet) until the frontier is wide
-  // enough to shard.
-  const std::function<double(uint32_t, uint32_t)> seed_dist =
-      options.make_center_dist(0);
-  std::vector<NodePair> done;
-  SplitWalk seed_walk{tree, separation, seed_dist, &done};
+  // Breadth-first seed expansion on the calling thread (as worker 0, before
+  // any other worker runs) until the frontier is wide enough to shard; each
+  // seed is an independent subtree of the recursion.
   std::deque<std::pair<uint32_t, uint32_t>> frontier;
   frontier.emplace_back(tree.root(), tree.root());
-  const size_t target_seeds = 8 * static_cast<size_t>(num_threads);
-  while (!frontier.empty() && frontier.size() < target_seeds) {
+  while (!frontier.empty() && frontier.size() < 8 * size_t{workers}) {
     const auto [a, b] = frontier.front();
     frontier.pop_front();
-    seed_walk.Step(a, b, [&frontier](uint32_t x, uint32_t y) {
+    walks[0].Step(a, b, [&frontier](uint32_t x, uint32_t y) {
       frontier.emplace_back(x, y);
     });
   }
+  const std::vector<std::pair<uint32_t, uint32_t>> seeds(frontier.begin(),
+                                                         frontier.end());
+  auto walk_seeds = [&](uint32_t w, size_t begin, size_t end) -> Status {
+    for (size_t k = begin; k < end; ++k) walks[w].Run(seeds[k]);
+    return Status::Ok();
+  };
+  TSO_RETURN_IF_ERROR(ParallelFor(workers, seeds.size(), 1, walk_seeds));
 
-  // Shard the frontier over the workers: each seed is an independent subtree
-  // of the recursion.
-  std::vector<std::pair<uint32_t, uint32_t>> seeds(frontier.begin(),
-                                                   frontier.end());
-  std::vector<std::vector<NodePair>> shard_pairs(num_threads);
-  std::vector<size_t> shard_considered(num_threads, 0);
-  std::vector<size_t> shard_evals(num_threads, 0);
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(num_threads);
-  for (uint32_t t = 0; t < num_threads; ++t) {
-    pool.emplace_back([&, t]() {
-      const std::function<double(uint32_t, uint32_t)> dist_fn =
-          options.make_center_dist(t);
-      SplitWalk walk{tree, separation, dist_fn, &shard_pairs[t]};
-      std::vector<std::pair<uint32_t, uint32_t>> stack;
-      while (true) {
-        const size_t k = next.fetch_add(1);
-        if (k >= seeds.size()) break;
-        stack.clear();
-        stack.push_back(seeds[k]);
-        walk.Run(stack);
-      }
-      shard_considered[t] = walk.considered;
-      shard_evals[t] = walk.dist_evals;
-    });
+  std::vector<NodePair> pairs = std::move(walks[0].pairs);
+  size_t considered = 0;
+  size_t dist_evals = 0;
+  for (uint32_t t = 0; t < workers; ++t) {
+    considered += walks[t].considered;
+    dist_evals += walks[t].dist_evals;
+    if (t > 0) {
+      pairs.insert(pairs.end(), walks[t].pairs.begin(), walks[t].pairs.end());
+    }
   }
-  for (std::thread& w : pool) w.join();
-
-  size_t considered = seed_walk.considered;
-  size_t dist_evals = seed_walk.dist_evals;
-  for (uint32_t t = 0; t < num_threads; ++t) {
-    considered += shard_considered[t];
-    dist_evals += shard_evals[t];
-    done.insert(done.end(), shard_pairs[t].begin(), shard_pairs[t].end());
-  }
-
   if (stats != nullptr) {
     stats->pairs_considered = considered;
-    stats->pairs_final = done.size();
+    stats->pairs_final = pairs.size();
     stats->distance_evals = dist_evals;
   }
-  return FinishSet(std::move(done));
+  return FinishSet(std::move(pairs));
 }
 
 }  // namespace tso

@@ -87,24 +87,13 @@ class NodePairSetView {
   PerfectHashView hash_;
 };
 
+/// Geodesic distance between two POIs (by id).
+using CenterDistFn = std::function<double(uint32_t, uint32_t)>;
+
 struct NodePairSetStats {
   size_t pairs_considered = 0;
   size_t pairs_final = 0;
   size_t distance_evals = 0;
-};
-
-/// Parallel-generation knobs: the WSPD splitting recursion is seeded by a
-/// breadth-first expansion of (root, root), then the frontier is sharded
-/// over `num_threads` workers, each running the depth-first recursion with
-/// the center-distance function `make_center_dist(t)` (one per worker;
-/// functions of distinct workers must be safe to call concurrently — e.g.
-/// backed by per-worker solvers over a shared memo). The resulting pair set
-/// is identical for every thread count: the recursion tree is fixed, and
-/// pairs are canonically sorted before hashing.
-struct NodePairParallelOptions {
-  uint32_t num_threads = 1;
-  std::function<std::function<double(uint32_t, uint32_t)>(uint32_t)>
-      make_center_dist;
 };
 
 /// SE's node pair set (§3.3): starting from (root, root), non-well-separated
@@ -114,20 +103,22 @@ struct NodePairParallelOptions {
 /// (Theorem 2); pairs are indexed by an FKS perfect hash for O(1) probes.
 class NodePairSet {
  public:
-  /// `center_dist(ca, cb)` must return the geodesic distance between POIs
-  /// ca and cb (the efficient construction supplies the enhanced-edge
-  /// lookup; the naive one runs SSAD per call).
+  /// `make_center_dist(t)` returns worker t's center-distance function:
+  /// `f(ca, cb)` must return the geodesic distance between POIs ca and cb
+  /// (the efficient construction supplies the enhanced-edge lookup; the
+  /// naive one runs SSAD per call). Functions of distinct workers must be
+  /// safe to call concurrently (e.g. per-worker solvers over a shared memo).
+  ///
+  /// The recursion is seeded by a breadth-first expansion of (root, root)
+  /// on the calling thread with worker 0's function; the frontier's
+  /// independent subtrees are then walked depth-first by `num_threads`
+  /// ParallelFor workers. The recursion tree is fixed and pairs are sorted
+  /// canonically before hashing, so the set (order, distances and stats) is
+  /// the same for every thread count.
   static StatusOr<NodePairSet> Generate(
       const CompressedTree& tree, double epsilon,
-      const std::function<double(uint32_t, uint32_t)>& center_dist,
-      NodePairSetStats* stats = nullptr);
-
-  /// Multi-threaded generation (see NodePairParallelOptions). Produces the
-  /// same set (same order, same distances) as the serial overload.
-  static StatusOr<NodePairSet> Generate(const CompressedTree& tree,
-                                        double epsilon,
-                                        const NodePairParallelOptions& options,
-                                        NodePairSetStats* stats = nullptr);
+      const std::function<CenterDistFn(uint32_t)>& make_center_dist,
+      uint32_t num_threads = 1, NodePairSetStats* stats = nullptr);
 
   /// O(1) probe: true and *distance set iff (a, b) is in the set.
   bool Lookup(uint32_t a, uint32_t b, double* distance) const {

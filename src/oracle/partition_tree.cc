@@ -1,15 +1,14 @@
 #include "oracle/partition_tree.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <queue>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "base/logging.h"
+#include "base/parallel.h"
 #include "base/timer.h"
 
 namespace tso {
@@ -223,9 +222,9 @@ StatusOr<PartitionTree> PartitionTree::Build(
       options.solver_factory != nullptr && options.num_threads > 1
           ? options.num_threads
           : 1;
-  // Worker solvers for speculative batches; created lazily on the first
-  // parallel batch and reused across layers.
-  std::vector<std::unique_ptr<GeodesicSolver>> workers;
+  // Worker solvers for speculative batches, one per ParallelFor worker;
+  // each is created lazily by its worker and reused across layers.
+  std::vector<std::unique_ptr<GeodesicSolver>> workers(num_workers);
 
   PartitionTree tree;
   tree.leaf_of_poi_.assign(n, kInvalidId);
@@ -393,35 +392,20 @@ StatusOr<PartitionTree> PartitionTree::Build(
       }
       if (batch.size() <= 1) return Status::Ok();  // nothing to parallelize
 
-      const uint32_t active =
-          static_cast<uint32_t>(std::min<size_t>(num_workers, batch.size()));
-      while (workers.size() < active) {
-        std::unique_ptr<GeodesicSolver> s = options.solver_factory();
-        if (s == nullptr) {
+      std::vector<SsadSummary> results(batch.size());
+      auto summarize_chunk = [&](uint32_t w, size_t begin,
+                                 size_t end) -> Status {
+        if (workers[w] == nullptr) workers[w] = options.solver_factory();
+        if (workers[w] == nullptr) {
           return Status::Internal("solver factory returned null");
         }
-        workers.push_back(std::move(s));
-      }
-      std::vector<SsadSummary> results(batch.size());
-      std::vector<Status> worker_status(active);
-      std::atomic<size_t> next{0};
-      std::vector<std::thread> pool;
-      pool.reserve(active);
-      for (uint32_t t = 0; t < active; ++t) {
-        pool.emplace_back([&, t]() {
-          while (true) {
-            const size_t k = next.fetch_add(1);
-            if (k >= batch.size()) break;
-            Status st = summarize(*workers[t], batch[k], &results[k]);
-            if (!st.ok()) {
-              worker_status[t] = st;
-              break;
-            }
-          }
-        });
-      }
-      for (std::thread& w : pool) w.join();
-      for (const Status& st : worker_status) TSO_RETURN_IF_ERROR(st);
+        for (size_t k = begin; k < end; ++k) {
+          TSO_RETURN_IF_ERROR(summarize(*workers[w], batch[k], &results[k]));
+        }
+        return Status::Ok();
+      };
+      TSO_RETURN_IF_ERROR(
+          ParallelFor(num_workers, batch.size(), 1, summarize_chunk));
       ssad_runs += batch.size();
       speculative_ssads += batch.size();
       for (size_t k = 0; k < batch.size(); ++k) {

@@ -64,8 +64,9 @@ struct PartitionTreeStats {
 
 /// Parallel-construction knobs. When `solver_factory` is set and
 /// `num_threads` > 1, the per-layer coverage/parent SSADs are precomputed
-/// speculatively in batches of pairwise-separated candidates by worker
-/// threads (each with its own solver). The committed tree is bit-identical
+/// speculatively in batches of pairwise-separated candidates by
+/// `num_threads` ParallelFor workers (base/parallel.h), each with its own
+/// factory-created solver. The committed tree is bit-identical
 /// to the serial build for any thread count: candidate selection order and
 /// RNG consumption are unchanged, and an SSAD's result does not depend on
 /// when it runs. The factory must produce solvers over the same mesh and

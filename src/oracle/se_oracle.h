@@ -42,7 +42,8 @@ struct SeOracleOptions {
   /// solver. The factory must produce solvers over the same mesh and metric
   /// as the injected one.
   SolverFactory parallel_solver_factory;
-  /// Worker threads for the parallel phases; 0 = hardware concurrency.
+  /// ParallelFor workers (base/parallel.h) for each of the three parallel
+  /// phases; 0 = HardwareThreads().
   uint32_t num_threads = 0;
   /// Sources per SSAD sweep in the enhanced-edge phase. Any value >= 2
   /// sweeps each distinct partition-tree center once, at its topmost reach,

@@ -6,11 +6,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "base/logging.h"
+#include "base/parallel.h"
 #include "base/timer.h"
 
 namespace tso {
@@ -99,50 +99,38 @@ void EmitLayerEdges(const EnhancedLayer& layer,
 using EdgeEntries = std::vector<std::pair<uint64_t, uint64_t>>;
 
 /// Runs `process(solver, index, out)` for indices [0, count): serially on
-/// the injected solver when a worker pool would not pay off, otherwise
-/// sharded over `num_threads` workers (each with a factory-created solver),
-/// concatenating the per-worker entry shards in worker order. Entry order
-/// is scheduling-dependent in the parallel case; consumers only depend on
-/// the entry set.
+/// the injected solver when a worker pool would not pay off (count < 2·T),
+/// otherwise on `num_threads` ParallelFor workers, each with a
+/// factory-created solver, concatenating the per-worker entry shards in
+/// worker order. Entry order is scheduling-dependent in the parallel case;
+/// consumers only depend on the entry set.
 Status ShardEnhancedWork(
     GeodesicSolver& solver, const SolverFactory& factory,
     uint32_t num_threads, size_t count,
     const std::function<Status(GeodesicSolver&, uint32_t, EdgeEntries&)>&
         process,
     EdgeEntries* entries) {
-  if (num_threads <= 1 || count < 2 * num_threads) {
-    for (uint32_t i = 0; i < count; ++i) {
-      TSO_RETURN_IF_ERROR(process(solver, i, *entries));
+  const uint32_t workers = count < 2 * size_t{num_threads} ? 1 : num_threads;
+  std::vector<std::unique_ptr<GeodesicSolver>> local(workers);
+  std::vector<EdgeEntries> shards(workers);
+  auto run_chunk = [&](uint32_t w, size_t begin, size_t end) -> Status {
+    GeodesicSolver* s = &solver;
+    if (workers > 1) {
+      if (local[w] == nullptr) local[w] = factory();
+      if (local[w] == nullptr) {
+        return Status::Internal("solver factory returned null");
+      }
+      s = local[w].get();
+    }
+    EdgeEntries& out = w == 0 ? *entries : shards[w];
+    for (size_t i = begin; i < end; ++i) {
+      TSO_RETURN_IF_ERROR(process(*s, static_cast<uint32_t>(i), out));
     }
     return Status::Ok();
-  }
-  std::atomic<uint32_t> next{0};
-  std::vector<EdgeEntries> shards(num_threads);
-  std::vector<Status> shard_status(num_threads);
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  for (uint32_t t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t]() {
-      std::unique_ptr<GeodesicSolver> local = factory();
-      if (local == nullptr) {
-        shard_status[t] = Status::Internal("solver factory returned null");
-        return;
-      }
-      while (true) {
-        const uint32_t i = next.fetch_add(1);
-        if (i >= count) break;
-        Status status = process(*local, i, shards[t]);
-        if (!status.ok()) {
-          shard_status[t] = status;
-          break;
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  for (const Status& status : shard_status) TSO_RETURN_IF_ERROR(status);
-  for (EdgeEntries& shard : shards) {
-    entries->insert(entries->end(), shard.begin(), shard.end());
+  };
+  TSO_RETURN_IF_ERROR(ParallelFor(workers, count, 1, run_chunk));
+  for (uint32_t w = 1; w < workers; ++w) {
+    entries->insert(entries->end(), shards[w].begin(), shards[w].end());
   }
   return Status::Ok();
 }
@@ -339,12 +327,11 @@ StatusOr<SeOracle> SeOracleBuilder::Build(std::vector<SurfacePoint> pois) {
 
   // One thread count for every parallel phase: tree speculation, enhanced
   // edges, and the WSPD recursion.
-  const uint32_t num_threads =
-      options.parallel_solver_factory == nullptr
-          ? 1
-          : (options.num_threads != 0
-                 ? options.num_threads
-                 : std::max(1u, std::thread::hardware_concurrency()));
+  uint32_t num_threads = 1;
+  if (options.parallel_solver_factory != nullptr) {
+    num_threads =
+        options.num_threads != 0 ? options.num_threads : HardwareThreads();
+  }
   st.threads_used = num_threads;
 
   // --- Step 1: partition tree + compressed tree ---
@@ -392,10 +379,9 @@ StatusOr<SeOracle> SeOracleBuilder::Build(std::vector<SurfacePoint> pois) {
   std::atomic<size_t> distance_fallbacks{0};
   std::vector<std::unique_ptr<GeodesicSolver>> worker_solvers(num_threads);
 
-  // Builds worker t's center-distance function. Worker 0's may also be used
-  // by the calling thread for seed expansion (never concurrently).
-  auto make_center_dist =
-      [&](uint32_t t) -> std::function<double(uint32_t, uint32_t)> {
+  // Builds worker t's center-distance function. Worker 0's is also used by
+  // the calling thread for seed expansion (never concurrently).
+  auto make_center_dist = [&](uint32_t t) -> CenterDistFn {
     auto naive_dist = [&, t](uint32_t ca, uint32_t cb) -> double {
       const uint64_t key = PairKey(std::min(ca, cb), std::max(ca, cb));
       double d;
@@ -442,17 +428,8 @@ StatusOr<SeOracle> SeOracleBuilder::Build(std::vector<SurfacePoint> pois) {
   };
 
   NodePairSetStats pair_stats;
-  StatusOr<NodePairSet> pairs{Status::Internal("unset")};
-  if (num_threads > 1) {
-    NodePairParallelOptions par;
-    par.num_threads = num_threads;
-    par.make_center_dist = make_center_dist;
-    pairs = NodePairSet::Generate(compressed, options.epsilon, par,
-                                  &pair_stats);
-  } else {
-    pairs = NodePairSet::Generate(compressed, options.epsilon,
-                                  make_center_dist(0), &pair_stats);
-  }
+  StatusOr<NodePairSet> pairs = NodePairSet::Generate(
+      compressed, options.epsilon, make_center_dist, num_threads, &pair_stats);
   st.ssad_runs += naive_ssad_runs.load();
   st.distance_fallbacks += distance_fallbacks.load();
   if (!pairs.ok()) return pairs.status();

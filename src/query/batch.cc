@@ -1,8 +1,8 @@
 #include "query/batch.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
+
+#include "base/parallel.h"
 
 namespace tso {
 namespace {
@@ -18,24 +18,9 @@ uint32_t EffectiveThreads(uint32_t requested, size_t items) {
   if (items < 2) return 1;
   if (requested == 0) {
     const size_t cap = std::max<size_t>(1, items / kMinItemsPerThread);
-    return static_cast<uint32_t>(std::min<size_t>(
-        std::max(1u, std::thread::hardware_concurrency()), cap));
+    return static_cast<uint32_t>(std::min<size_t>(HardwareThreads(), cap));
   }
   return static_cast<uint32_t>(std::min<size_t>(requested, items));
-}
-
-/// Runs `work(t)` on `threads` workers and returns the first non-ok status.
-template <typename WorkFn>
-Status RunWorkers(uint32_t threads, WorkFn&& work) {
-  std::vector<Status> status(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t]() { status[t] = work(t); });
-  }
-  for (std::thread& w : workers) w.join();
-  for (const Status& st : status) TSO_RETURN_IF_ERROR(st);
-  return Status::Ok();
 }
 
 }  // namespace
@@ -46,43 +31,20 @@ StatusOr<std::vector<double>> DistanceBatch(
     uint32_t num_threads) {
   std::vector<double> out(queries.size(), 0.0);
   const uint32_t threads = EffectiveThreads(num_threads, queries.size());
-  if (threads <= 1) {
-    QueryScratch scratch;
-    for (size_t i = 0; i < queries.size(); ++i) {
+  // Chunks of 256: big enough to amortize the shared counter, small enough
+  // that a slow chunk cannot strand a worker.
+  std::vector<QueryScratch> scratch(threads);
+  auto answer = [&](uint32_t w, size_t begin, size_t end) -> Status {
+    QueryScratch& local = scratch[w];
+    for (size_t i = begin; i < end; ++i) {
       StatusOr<double> d =
-          source.Distance(queries[i].first, queries[i].second, scratch);
+          source.Distance(queries[i].first, queries[i].second, local);
       if (!d.ok()) return d.status();
       out[i] = *d;
     }
-    return out;
-  }
-
-  // Chunked dynamic scheduling: big enough to amortize the shared counter,
-  // small enough that a slow chunk cannot strand a worker. One worker's
-  // failure raises `failed` so the others stop instead of finishing a batch
-  // whose result will be discarded.
-  constexpr size_t kChunk = 256;
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  Status st = RunWorkers(threads, [&](uint32_t) -> Status {
-    QueryScratch scratch;
-    while (!failed.load(std::memory_order_relaxed)) {
-      const size_t begin = next.fetch_add(kChunk, std::memory_order_relaxed);
-      if (begin >= queries.size()) break;
-      const size_t end = std::min(queries.size(), begin + kChunk);
-      for (size_t i = begin; i < end; ++i) {
-        StatusOr<double> d =
-            source.Distance(queries[i].first, queries[i].second, scratch);
-        if (!d.ok()) {
-          failed.store(true, std::memory_order_relaxed);
-          return d.status();
-        }
-        out[i] = *d;
-      }
-    }
     return Status::Ok();
-  });
-  TSO_RETURN_IF_ERROR(st);
+  };
+  TSO_RETURN_IF_ERROR(ParallelFor(threads, queries.size(), 256, answer));
   return out;
 }
 
@@ -100,10 +62,10 @@ StatusOr<std::vector<KnnResult>> KnnQueryParallel(const DistanceSource& source,
   const uint32_t threads = EffectiveThreads(num_threads, n);
   if (threads <= 1) return KnnQuery(source, query, k);
 
-  // Each worker scans a contiguous POI shard and keeps its local top-k as a
+  // One contiguous POI shard per chunk, each with its local top-k as a
   // max-heap; the global answer is the best k of the shard winners.
   std::vector<std::vector<KnnResult>> shard_best(threads);
-  Status st = RunWorkers(threads, [&](uint32_t t) -> Status {
+  auto scan_shard = [&](uint32_t, size_t t, size_t) -> Status {
     const size_t begin = n * t / threads;
     const size_t end = n * (t + 1) / threads;
     QueryScratch scratch;
@@ -115,8 +77,8 @@ StatusOr<std::vector<KnnResult>> KnnQueryParallel(const DistanceSource& source,
       PushBoundedTopK(best, {p, *d}, k);
     }
     return Status::Ok();
-  });
-  TSO_RETURN_IF_ERROR(st);
+  };
+  TSO_RETURN_IF_ERROR(ParallelFor(threads, threads, 1, scan_shard));
 
   std::vector<KnnResult> merged;
   for (std::vector<KnnResult>& best : shard_best) {
@@ -144,7 +106,7 @@ StatusOr<std::vector<uint32_t>> RangeQueryParallel(
   if (threads <= 1) return RangeQuery(source, query, radius);
 
   std::vector<std::vector<std::pair<double, uint32_t>>> shard_hits(threads);
-  Status st = RunWorkers(threads, [&](uint32_t t) -> Status {
+  auto scan_shard = [&](uint32_t, size_t t, size_t) -> Status {
     const size_t begin = n * t / threads;
     const size_t end = n * (t + 1) / threads;
     QueryScratch scratch;
@@ -155,8 +117,8 @@ StatusOr<std::vector<uint32_t>> RangeQueryParallel(
       if (*d <= radius) shard_hits[t].emplace_back(*d, p);
     }
     return Status::Ok();
-  });
-  TSO_RETURN_IF_ERROR(st);
+  };
+  TSO_RETURN_IF_ERROR(ParallelFor(threads, threads, 1, scan_shard));
 
   std::vector<std::pair<double, uint32_t>> hits;
   for (auto& shard : shard_hits) {

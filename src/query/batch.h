@@ -19,11 +19,13 @@ namespace tso {
 /// Written once against DistanceSource (query/engine.h) — for a mapped
 /// oracle or pack the workers read shared read-only pages.
 ///
-/// Everywhere below, `num_threads == 0` means hardware concurrency and
-/// `num_threads == 1` (or a workload too small to shard) runs serially on
-/// the calling thread without spawning workers. These are the query-side
-/// worker counts — the CLI exposes them as --query-threads (build-side
-/// parallelism is a separate knob, --build-threads; see tools/tso_main.cc).
+/// Each engine below is one ParallelFor call (base/parallel.h). Everywhere
+/// below, `num_threads == 0` means HardwareThreads(), capped at one worker
+/// per 64 items, and `num_threads == 1` (or a workload too small to shard)
+/// runs inline on the calling thread without spawning workers. These are
+/// the query-side worker counts — the CLI exposes them as --query-threads
+/// (build-side parallelism is a separate knob, --build-threads; see
+/// tools/tso_main.cc).
 
 /// Answers every (s, t) pair in `queries`; out[i] is the ε-approximate
 /// distance for queries[i]. Work is handed to workers in chunks off a

@@ -300,8 +300,10 @@ TEST(DynamicOracle, QueryEnginesRunOverPinnedSnapshot) {
 // compactions report FailedPrecondition.
 TEST(DynamicOracle, FromViewMountIsRemoveOnlyWithoutSolver) {
   DynFixture fx(25);
+  SeOracleOptions base_options;
+  base_options.epsilon = 0.1;
   StatusOr<SeOracle> base = SeOracle::Build(*fx.ds->mesh, fx.ds->pois,
-                                            *fx.solver, {.epsilon = 0.1});
+                                            *fx.solver, base_options);
   ASSERT_TRUE(base.ok());
   const std::string path =
       testing::TempDir() + "/dyn_from_view_test.tsoflat";
@@ -337,8 +339,10 @@ TEST(DynamicOracle, FromViewMountIsRemoveOnlyWithoutSolver) {
 // full mesh+solver keeps the whole mutation surface.
 TEST(DynamicOracle, FromSourceMountSupportsChurn) {
   DynFixture fx(27);
+  SeOracleOptions base_options;
+  base_options.epsilon = 0.1;
   StatusOr<SeOracle> base = SeOracle::Build(*fx.ds->mesh, fx.ds->pois,
-                                            *fx.solver, {.epsilon = 0.1});
+                                            *fx.solver, base_options);
   ASSERT_TRUE(base.ok());
   DistanceSource source = MakeSource(*base);
 

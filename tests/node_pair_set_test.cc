@@ -1,5 +1,7 @@
 #include "oracle/node_pair_set.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "baselines/full_materialization.h"
@@ -32,8 +34,11 @@ struct Fixture {
     ct = CompressedTree::FromPartitionTree(*tree);
   }
 
-  std::function<double(uint32_t, uint32_t)> DistFn() {
-    return [this](uint32_t a, uint32_t b) { return exact->Distance(a, b); };
+  /// Every worker reads the same precomputed all-pairs table.
+  std::function<CenterDistFn(uint32_t)> MakeDist() {
+    return [this](uint32_t) -> CenterDistFn {
+      return [this](uint32_t a, uint32_t b) { return exact->Distance(a, b); };
+    };
   }
 };
 
@@ -41,7 +46,7 @@ TEST(NodePairSet, AllPairsWellSeparated) {
   Fixture fx(15, 31);
   const double eps = 0.2;
   StatusOr<NodePairSet> set =
-      NodePairSet::Generate(fx.ct, eps, fx.DistFn(), nullptr);
+      NodePairSet::Generate(fx.ct, eps, fx.MakeDist());
   ASSERT_TRUE(set.ok());
   const double sep = 2.0 / eps + 2.0;
   for (const NodePair& pair : set->pairs()) {
@@ -60,7 +65,7 @@ TEST(NodePairSet, UniqueNodePairMatchProperty) {
   for (uint64_t seed : {41u, 43u}) {
     Fixture fx(12, seed);
     StatusOr<NodePairSet> set =
-        NodePairSet::Generate(fx.ct, 0.25, fx.DistFn(), nullptr);
+        NodePairSet::Generate(fx.ct, 0.25, fx.MakeDist());
     ASSERT_TRUE(set.ok());
 
     // Ancestor sets (node -> is ancestor-or-self of leaf).
@@ -92,7 +97,7 @@ TEST(NodePairSet, MatchedDistanceIsEpsApprox) {
   Fixture fx(14, 47);
   const double eps = 0.15;
   StatusOr<NodePairSet> set =
-      NodePairSet::Generate(fx.ct, eps, fx.DistFn(), nullptr);
+      NodePairSet::Generate(fx.ct, eps, fx.MakeDist());
   ASSERT_TRUE(set.ok());
   auto ancestors = [&](uint32_t poi) {
     std::vector<bool> anc(fx.ct.num_nodes(), false);
@@ -121,7 +126,7 @@ TEST(NodePairSet, MatchedDistanceIsEpsApprox) {
 TEST(NodePairSet, LookupMatchesPairs) {
   Fixture fx(13, 53);
   StatusOr<NodePairSet> set =
-      NodePairSet::Generate(fx.ct, 0.2, fx.DistFn(), nullptr);
+      NodePairSet::Generate(fx.ct, 0.2, fx.MakeDist());
   ASSERT_TRUE(set.ok());
   for (const NodePair& pair : set->pairs()) {
     double d;
@@ -142,9 +147,9 @@ TEST(NodePairSet, SmallerEpsMorePairs) {
   Fixture fx(16, 59);
   NodePairSetStats coarse_stats, fine_stats;
   StatusOr<NodePairSet> coarse =
-      NodePairSet::Generate(fx.ct, 0.5, fx.DistFn(), &coarse_stats);
+      NodePairSet::Generate(fx.ct, 0.5, fx.MakeDist(), 1, &coarse_stats);
   StatusOr<NodePairSet> fine =
-      NodePairSet::Generate(fx.ct, 0.05, fx.DistFn(), &fine_stats);
+      NodePairSet::Generate(fx.ct, 0.05, fx.MakeDist(), 1, &fine_stats);
   ASSERT_TRUE(coarse.ok() && fine.ok());
   EXPECT_GE(fine->size(), coarse->size());
   EXPECT_GE(fine_stats.pairs_considered, coarse_stats.pairs_considered);
@@ -156,20 +161,49 @@ TEST(NodePairSet, SmallerEpsMorePairs) {
 
 TEST(NodePairSet, InvalidEpsilonRejected) {
   Fixture fx(6, 61);
-  EXPECT_FALSE(NodePairSet::Generate(fx.ct, 0.0, fx.DistFn(), nullptr).ok());
-  EXPECT_FALSE(NodePairSet::Generate(fx.ct, -1.0, fx.DistFn(), nullptr).ok());
+  EXPECT_FALSE(NodePairSet::Generate(fx.ct, 0.0, fx.MakeDist()).ok());
+  EXPECT_FALSE(NodePairSet::Generate(fx.ct, -1.0, fx.MakeDist()).ok());
 }
 
 TEST(NodePairSet, SelfPairsHaveZeroDistance) {
   Fixture fx(10, 67);
   StatusOr<NodePairSet> set =
-      NodePairSet::Generate(fx.ct, 0.3, fx.DistFn(), nullptr);
+      NodePairSet::Generate(fx.ct, 0.3, fx.MakeDist());
   ASSERT_TRUE(set.ok());
   for (uint32_t p = 0; p < fx.ds->pois.size(); ++p) {
     const uint32_t leaf = fx.ct.leaf_of_poi(p);
     double d;
     ASSERT_TRUE(set->Lookup(leaf, leaf, &d)) << "poi " << p;
     EXPECT_EQ(d, 0.0);
+  }
+}
+
+// The one-worker walk is the serial recursion: every worker count yields the
+// same sorted pairs, bit-identical distances and the same work counters.
+TEST(NodePairSet, SameSetForEveryWorkerCount) {
+  Fixture fx(40, 71);
+  NodePairSetStats serial_stats;
+  StatusOr<NodePairSet> serial =
+      NodePairSet::Generate(fx.ct, 0.2, fx.MakeDist(), 1, &serial_stats);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_GT(serial->size(), 100u);
+  for (uint32_t workers : {2u, 8u}) {
+    NodePairSetStats stats;
+    StatusOr<NodePairSet> set =
+        NodePairSet::Generate(fx.ct, 0.2, fx.MakeDist(), workers, &stats);
+    ASSERT_TRUE(set.ok()) << workers;
+    ASSERT_EQ(set->size(), serial->size()) << workers;
+    for (size_t i = 0; i < set->size(); ++i) {
+      const NodePair& x = set->pairs()[i];
+      const NodePair& y = serial->pairs()[i];
+      ASSERT_EQ(x.a, y.a) << workers << " at " << i;
+      ASSERT_EQ(x.b, y.b) << workers << " at " << i;
+      ASSERT_EQ(std::memcmp(&x.distance, &y.distance, sizeof(double)), 0)
+          << workers << " at " << i;
+    }
+    EXPECT_EQ(stats.pairs_considered, serial_stats.pairs_considered);
+    EXPECT_EQ(stats.distance_evals, serial_stats.distance_evals);
+    EXPECT_EQ(stats.pairs_final, serial_stats.pairs_final);
   }
 }
 

@@ -20,7 +20,7 @@ TEST(PerfectHash, EmptyTable) {
 TEST(PerfectHash, SingleEntry) {
   StatusOr<PerfectHash> ph = PerfectHash::Build({{42, 7}});
   ASSERT_TRUE(ph.ok());
-  uint64_t v;
+  uint64_t v = 0;
   EXPECT_TRUE(ph->Lookup(42, &v));
   EXPECT_EQ(v, 7u);
   EXPECT_FALSE(ph->Lookup(41, &v));
