@@ -1,19 +1,6 @@
 #include "base/simd.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace tso {
-namespace {
-
-// kUnresolved sentinel: ActiveSimdLevel resolves lazily on first use so the
-// TSO_NO_SIMD override is honored no matter how early the first probe runs.
-constexpr int kUnresolved = -1;
-
-std::atomic<int> g_active_level{kUnresolved};
-
-}  // namespace
 
 const char* SimdLevelName(SimdLevel level) {
   switch (level) {
@@ -36,35 +23,6 @@ SimdLevel DetectCpuSimdLevel() {
 #endif
 }
 
-SimdLevel SimdLevelFromEnv(const char* tso_no_simd, SimdLevel detected) {
-  if (tso_no_simd == nullptr) return detected;
-  if (tso_no_simd[0] == '\0') return detected;
-  if (std::strcmp(tso_no_simd, "0") == 0) return detected;
-  return SimdLevel::kScalar;
-}
-
-SimdLevel ActiveSimdLevel() {
-  int level = g_active_level.load(std::memory_order_relaxed);
-  if (level == kUnresolved) {
-    const SimdLevel resolved =
-        SimdLevelFromEnv(std::getenv("TSO_NO_SIMD"), DetectCpuSimdLevel());
-    level = static_cast<int>(resolved);
-    int expected = kUnresolved;
-    // On a race the first store wins; all candidates are identical anyway.
-    if (!g_active_level.compare_exchange_strong(expected, level,
-                                                std::memory_order_relaxed)) {
-      level = expected;
-    }
-  }
-  return static_cast<SimdLevel>(level);
-}
-
-void ForceSimdLevelForTest(SimdLevel level) {
-  SimdLevel capped = level;
-  const SimdLevel detected =
-      SimdLevelFromEnv(std::getenv("TSO_NO_SIMD"), DetectCpuSimdLevel());
-  if (static_cast<int>(capped) > static_cast<int>(detected)) capped = detected;
-  g_active_level.store(static_cast<int>(capped), std::memory_order_relaxed);
-}
+SimdLevel ActiveSimdLevel() { return SimdLevel::kScalar; }
 
 }  // namespace tso

@@ -1,13 +1,11 @@
 #ifndef TSO_BASE_SIMD_H_
 #define TSO_BASE_SIMD_H_
 
-#include <cstddef>
-#include <cstdint>
-
 namespace tso {
 
-/// Instruction-set tiers for the batched probe kernels. The numeric order is
-/// capability order: a level implies every lower level is also usable.
+/// Instruction-set tiers. The numeric order is capability order: a level
+/// implies every lower level is also usable. No kernel dispatches on them
+/// any more; they remain so benchmark reports can describe the host.
 enum class SimdLevel : int {
   kScalar = 0,
   kSse2 = 1,
@@ -16,30 +14,18 @@ enum class SimdLevel : int {
 
 const char* SimdLevelName(SimdLevel level);
 
-/// The level the probe kernels dispatch to. Resolved once (CPU detection plus
-/// the TSO_NO_SIMD environment override) and cached; ForceSimdLevelForTest
-/// can lower it afterwards.
+/// The level the probe runs at: always kScalar, since the probe is one
+/// scalar Lookup per candidate on every representation.
 SimdLevel ActiveSimdLevel();
 
-/// Best level the running CPU supports, ignoring overrides.
+/// Best level the running CPU supports.
 SimdLevel DetectCpuSimdLevel();
-
-/// Pins the active level for tests. Requests above the detected CPU level are
-/// clamped so a forced kAvx2 can never dispatch unsupported instructions.
-/// Pass detected level (or anything >= it) to restore default behavior.
-void ForceSimdLevelForTest(SimdLevel level);
-
-/// Pure resolution of the TSO_NO_SIMD override against a detected level:
-/// "1" (or any other non-empty value except "0") forces kScalar; null, ""
-/// and "0" leave the detected level in place. Split out so the parsing is
-/// unit-testable without mutating the process environment.
-SimdLevel SimdLevelFromEnv(const char* tso_no_simd, SimdLevel detected);
 
 /// Software prefetch of the cache line holding `addr` (read intent, moderate
 /// temporal locality). Compiles to nothing on toolchains without the
 /// builtin. Issuing a prefetch for a line that is never subsequently read is
-/// harmless, which is what lets the probe pipeline prefetch every candidate
-/// bucket before any compare.
+/// harmless, which is what lets the ancestor walk prefetch the next node
+/// before it is needed.
 inline void PrefetchRead(const void* addr) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(addr, /*rw=*/0, /*locality=*/2);

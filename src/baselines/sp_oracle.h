@@ -14,9 +14,10 @@ struct SpOracleOptions {
   uint32_t steiner_points_per_edge = 0;
   /// WSPD error parameter of the inner index; 0 = max(epsilon, 0.25).
   /// The Djidjev–Sommer original indexes exact G_eps distances; our WSPD
-  /// stand-in adds its own (empirically ~eps/10) error, so a floored inner
-  /// epsilon keeps observed errors within the requested bound while keeping
-  /// the index buildable (docs/substitutions.md, "Steiner density cap").
+  /// stand-in adds its own (empirically ~eps/10) error, and the floor keeps
+  /// the index buildable. With the capped density this means observed
+  /// errors can exceed the requested epsilon (docs/substitutions.md,
+  /// "Steiner density cap", lists the measured values).
   double inner_epsilon = 0.0;
 };
 

@@ -1,7 +1,5 @@
 #include "oracle/distance_query.h"
 
-#include <algorithm>
-
 namespace tso {
 namespace {
 
@@ -44,31 +42,6 @@ class DegradedProber {
 
 }  // namespace
 
-bool PairSource::LookupFirst(std::span<const uint32_t> a,
-                             std::span<const uint32_t> b,
-                             double* distance) const {
-  const size_t n = a.size();
-  if (shards_.empty()) {
-    double dist[kProbeBatchWidth];
-    uint8_t found[kProbeBatchWidth];
-    for (size_t i = 0; i < n; i += kProbeBatchWidth) {
-      const size_t m = std::min(kProbeBatchWidth, n - i);
-      single_.LookupBatch(a.data() + i, b.data() + i, m, dist, found);
-      for (size_t j = 0; j < m; ++j) {
-        if (found[j]) {
-          *distance = dist[j];
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (Lookup(a[i], b[i], distance)) return true;
-  }
-  return false;
-}
-
 StatusOr<double> OracleDistance(const CompressedTreeView& tree,
                                 const PairSource& pairs, uint32_t s,
                                 uint32_t t, QueryScratch& scratch) {
@@ -77,12 +50,10 @@ StatusOr<double> OracleDistance(const CompressedTreeView& tree,
   const std::span<const uint32_t> as = tree.AncestorsOfPoi(s, &scratch.a);
   const std::span<const uint32_t> at = tree.AncestorsOfPoi(t, &scratch.b);
 
-  // Collect the full §3.4 probe sequence up front, then push it through the
-  // batched probe: candidate generation touches only the (prefetched,
-  // usually cached) ancestor arrays and tree nodes, while the hash probes —
-  // where the cache misses live — overlap kProbeBatchWidth at a time.
-  // Probes are pure, so taking the earliest hit of the sequence is
-  // bit-identical to the original probe-as-you-go loops.
+  // Collect the full §3.4 probe sequence up front, then probe it in order
+  // and stop at the first hit. The list is kept (rather than probing as the
+  // passes go) so the degraded-pack path below can re-walk it; probes are
+  // pure, so the earliest hit is the same double either way.
   std::vector<uint32_t>& ca = scratch.cand_a;
   std::vector<uint32_t>& cb = scratch.cand_b;
   ca.clear();
@@ -125,7 +96,9 @@ StatusOr<double> OracleDistance(const CompressedTreeView& tree,
     }
   }
   double d;
-  if (pairs.LookupFirst(ca, cb, &d)) return d;
+  for (size_t i = 0; i < ca.size(); ++i) {
+    if (pairs.Lookup(ca[i], cb[i], &d)) return d;
+  }
   if (!pairs.degraded()) {
     return Status::Internal(
         "unique node pair match property violated: no pair found");

@@ -19,8 +19,9 @@ struct QueryScratch {
   /// Ancestor-array buffers (A_s / A_t) for views without a precomputed
   /// ancestor table.
   std::vector<uint32_t> a, b;
-  /// Candidate probe sequence of the batched query: parallel arrays of
-  /// (first, second) node ids in §3.4 probe order.
+  /// Candidate probe sequence of the §3.4 query: parallel arrays of
+  /// (first, second) node ids in probe order, kept so a degraded pack can
+  /// re-walk them.
   std::vector<uint32_t> cand_a, cand_b;
 };
 
@@ -80,16 +81,6 @@ class PairSource {
     const uint32_t shard = shard_of_node_[a];
     return shard >= shard_ok_.size() || shard_ok_[shard] != 0;
   }
-
-  /// Probes the candidate sequence (a[i], b[i]) in order and returns true
-  /// with *distance set to the earliest present pair's distance. Monolithic
-  /// sources run the batched pipeline (kProbeBatchWidth lanes hashed in
-  /// lock step, all candidate lines prefetched before any compare),
-  /// early-exiting after the first batch containing a hit; sharded sources
-  /// probe lane-by-lane because routing differs per key. Probes are pure,
-  /// so the result is bit-identical to sequential scalar Lookup calls.
-  bool LookupFirst(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                   double* distance) const;
 
   bool sharded() const { return !shards_.empty(); }
   size_t num_shards() const { return shards_.size(); }
